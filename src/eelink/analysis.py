@@ -62,10 +62,10 @@ def _check_gamma0(gamma0: float) -> None:
         raise DomainError(f"gamma0 must be nonnegative, got {gamma0}")
 
 
-def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float) -> float:
-    # log E[exp(-theta s)] for m = 2. The incomplete-gamma prefactor
-    # (mean_snr / 2)^(exponent_rate * theta) is kept in log space: the mean
-    # SNR is of order 10^3 and direct powers lose precision.
+def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:
+    # log E[exp(-theta s)] for m = 2, given p_idle = cdf(params, gamma0). The
+    # prefactor (mean_snr / 2)^(exponent_rate * theta) is kept in log space:
+    # the mean SNR is of order 10^3 and direct powers lose precision.
     if params.fading_m != 2.0:
         raise DomainError(f"{METHOD_CLOSED} requires fading_m == 2, got {params.fading_m}")
     c = derived_constants(params)
@@ -74,7 +74,6 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float) -> float:
         raise DomainError(
             f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-2.0 / c.exponent_rate:.4e}"
         )
-    p_idle = cdf(params, gamma0)
     log_tail = a * (math.log(c.mean_snr) - math.log(2.0)) + math.log(
         upper_incomplete_gamma(2.0 + a, 2.0 * gamma0)
     )
@@ -109,7 +108,7 @@ def log_service_mgf(
     """Natural log of the per-slot service decay moment E[exp(-theta s)]."""
     _check_gamma0(gamma0)
     if method == METHOD_CLOSED:
-        return _log_mgf_closed(params, qos.theta, gamma0)
+        return _log_mgf_closed(params, qos.theta, gamma0, cdf(params, gamma0))
     if method == METHOD_EXACT:
         return _log_mgf_exact(params, qos.theta, gamma0, settings)
     raise DomainError(f"unknown method {method!r}; expected one of {_METHODS}")
@@ -147,11 +146,14 @@ def mode_probabilities(params: SystemParams, gamma0: float) -> tuple[float, floa
     return p_tr, 1.0 - p_tr
 
 
+def _power(params: SystemParams, p_tr: float, p_idle: float) -> float:
+    return params.circuit_power + params.tx_power * p_tr + params.idle_power * p_idle
+
+
 def total_power(params: SystemParams, gamma0: float) -> float:
     """Mean consumed power in W: circuit power plus mode-weighted radiated
     and idle power."""
-    p_tr, p_idle = mode_probabilities(params, gamma0)
-    return params.circuit_power + params.tx_power * p_tr + params.idle_power * p_idle
+    return _power(params, *mode_probabilities(params, gamma0))
 
 
 def energy_efficiency(
@@ -173,15 +175,21 @@ def ee_trend(params: SystemParams, qos: QosSpec, gamma0: float) -> float:
     threshold still helps, negative once it hurts. Cheap to evaluate, so the
     optimizer bisects on it instead of differencing EE.
     """
-    _check_gamma0(gamma0)
+    p_tr, p_idle = mode_probabilities(params, gamma0)
+    log_mgf = _log_mgf_closed(params, qos.theta, gamma0, p_idle)
+    return _trend(params, qos.theta, gamma0, log_mgf, _power(params, p_tr, p_idle))
+
+
+def _trend(
+    params: SystemParams, theta: float, gamma0: float, log_mgf: float, power: float
+) -> float:
+    # ee_trend's formula, given the closed-form log-MGF and the total power
+    # at gamma0, so analyze can reuse the values it already has.
     c = derived_constants(params)
-    a = c.exponent_rate * qos.theta
-    log_mgf = _log_mgf_closed(params, qos.theta, gamma0)
-    mgf = math.exp(log_mgf)
-    power = total_power(params, gamma0)
+    a = c.exponent_rate * theta
     swing = params.tx_power - params.idle_power
     kernel = (1.0 + c.mean_snr * gamma0) ** a
-    return -swing * log_mgf * mgf - (1.0 - kernel) * power
+    return -swing * log_mgf * math.exp(log_mgf) - (1.0 - kernel) * power
 
 
 def delay_outage_estimate(qos: QosSpec, p_buffer_nonempty: float, theta_seconds: float) -> float:
@@ -206,14 +214,18 @@ def analyze(
     settings: QuadratureSettings | None = None,
 ) -> AnalysisResult:
     """Bundle every per-point quantity into one result."""
-    log_mgf = log_service_mgf(params, qos, gamma0, method, settings)
-    alpha = -log_mgf / (qos.theta * params.slot_duration)
     p_tr, p_idle = mode_probabilities(params, gamma0)
-    power = total_power(params, gamma0)
-    mgf = trend = None
+    power = _power(params, p_tr, p_idle)
+    mgf = trend = closed = None
     if params.fading_m == 2.0:
-        mgf = service_mgf(params, qos, gamma0, METHOD_CLOSED)
-        trend = ee_trend(params, qos, gamma0)
+        closed = _log_mgf_closed(params, qos.theta, gamma0, p_idle)
+        mgf = math.exp(closed)
+        trend = _trend(params, qos.theta, gamma0, closed, power)
+    if method == METHOD_CLOSED and closed is not None:
+        log_mgf = closed
+    else:
+        log_mgf = log_service_mgf(params, qos, gamma0, method, settings)
+    alpha = -log_mgf / (qos.theta * params.slot_duration)
     return AnalysisResult(
         gamma0=gamma0,
         effective_capacity=alpha,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analysis import (
     METHOD_CLOSED,
@@ -24,7 +24,7 @@ from .analysis import (
     analyze,
     delay_outage_estimate,
 )
-from .channel import SystemParams, db_to_linear, dbm_to_watt
+from .channel import SystemParams, db_to_linear, dbm_to_watt, default_params
 from .errors import (
     BracketError,
     ConfigError,
@@ -43,23 +43,22 @@ from .optimize import (
 )
 from .sim import SimConfig, run as run_sim
 
-# Reference-link defaults in canonical units (W, W/Hz, seconds, linear).
+_LINK = default_params()
+_SEARCH = SearchSettings()
+
+# Reference-link and search defaults in canonical units (W, W/Hz, seconds,
+# linear), taken from the library so the two cannot drift apart.
 _DEFAULTS: dict[str, float | int | None] = {
-    "slot_duration": 1e-3,
-    "bandwidth": 180e3,
-    "noise_density": dbm_to_watt(-174.0),
-    "tx_power": dbm_to_watt(43.0),
-    "circuit_power": 0.1,
-    "idle_power": 0.0,
-    "fading_m": 2.0,
-    "distance": 1.0,
+    **{
+        f.name: getattr(_LINK, f.name)
+        for f in fields(SystemParams)
+        if f.name not in ("distance_km", "path_loss")
+    },
+    "distance": _LINK.distance_km,
     "path_loss": None,
     "theta": None,
     "dmax": None,
-    "epsilon": 1e-8,
-    "gamma0_lower": 0.0,
-    "gamma0_cap": 64.0,
-    "max_iterations": 200,
+    **{f.name: getattr(_SEARCH, f.name) for f in fields(SearchSettings)},
     "mu": None,
     "gamma0": None,
     "slots": 200_000,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,12 +32,9 @@ from .special import QuadratureSettings
 # Thresholds below this scale are operationally indistinguishable from no
 # gating: for reference-class links the EE gain over a zero threshold is a
 # few parts in 10^6 there, far below what sweeps or measurements resolve.
-# The regime classification and the exponent-boundary predicate both probe
-# the trend indicator at and above this scale.
+# The exponent boundary is where the trend indicator at this scale changes
+# sign, the same test the optimizer applies to call a run gated.
 GATING_RESOLUTION = 1.8e-3
-
-_PREDICATE_GRID_POINTS = 200
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Regime(enum.Enum):
@@ -77,6 +75,39 @@ class OptimumResult:
     bracket: tuple[float, float]
 
 
+def _bisect(
+    predicate: Callable[[float], bool], lo: float, hi: float, width: float, max_iterations: int
+) -> tuple[float, float, int]:
+    """Halve [lo, hi] until it is at most `width` wide, keeping the predicate
+    true at lo and false at hi; returns the final (lo, hi) and the number of
+    halvings. A width below the float spacing is never reached, hence the
+    max_iterations guard."""
+    iterations = 0
+    while hi - lo > width:
+        if iterations >= max_iterations:
+            raise BracketError("bisection exceeded max_iterations")
+        mid = 0.5 * (lo + hi)
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, hi, iterations
+
+
+def _grow_bracket(
+    predicate: Callable[[float], bool], start: float, cap: float, what: str
+) -> float:
+    """First of start, 2 start, 4 start, ... (clipped to cap) where the
+    predicate fails; raises BracketError if it still holds at cap."""
+    upper = start
+    while predicate(upper):
+        if upper >= cap:
+            raise BracketError(f"{what} at gamma0_cap = {cap}")
+        upper = min(2.0 * upper, cap)
+    return upper
+
+
 def find_optimal_threshold(
     params: SystemParams,
     qos: QosSpec,
@@ -93,72 +124,20 @@ def find_optimal_threshold(
     s = settings if settings is not None else SearchSettings()
     ee_baseline = energy_efficiency(params, qos, 0.0, METHOD_CLOSED)
 
-    upper = max(1.0, s.gamma0_lower)
-    while ee_trend(params, qos, upper) > 0.0:
-        if upper >= s.gamma0_cap:
-            raise BracketError(
-                f"trend indicator still positive at gamma0_cap = {s.gamma0_cap}"
-            )
-        upper = min(2.0 * upper, s.gamma0_cap)
+    def rising(g: float) -> bool:
+        return ee_trend(params, qos, g) > 0.0
 
-    lower = s.gamma0_lower
-    bracket = (lower, upper)
+    upper = _grow_bracket(
+        rising, max(1.0, s.gamma0_lower), s.gamma0_cap, "trend indicator still positive"
+    )
+    bracket = (s.gamma0_lower, upper)
+    lower, upper, iterations = _bisect(rising, *bracket, s.epsilon, s.max_iterations)
     mid = 0.5 * (lower + upper)
-    iterations = 0
-    while upper - lower > s.epsilon:
-        if iterations >= s.max_iterations:
-            raise BracketError("bisection exceeded max_iterations")
-        if ee_trend(params, qos, mid) <= 0.0:
-            upper = mid
-        else:
-            lower = mid
-        mid = 0.5 * (lower + upper)
-        iterations += 1
 
     if mid < resolution:
-        return OptimumResult(
-            regime=Regime.UNGATED,
-            gamma0_opt=0.0,
-            ee_opt=ee_baseline,
-            ee_baseline=ee_baseline,
-            iterations=iterations,
-            bracket=bracket,
-        )
-    return OptimumResult(
-        regime=Regime.GATED,
-        gamma0_opt=mid,
-        ee_opt=energy_efficiency(params, qos, mid, METHOD_CLOSED),
-        ee_baseline=ee_baseline,
-        iterations=iterations,
-        bracket=bracket,
-    )
-
-
-def _max_trend(params: SystemParams, theta: float, floor: float, cap: float) -> float:
-    """Max of the trend indicator over a log grid on [floor, cap], refined by
-    golden-section around the best grid point."""
-    qos = QosSpec(theta=theta)
-    grid = np.logspace(math.log10(floor), math.log10(cap), _PREDICATE_GRID_POINTS)
-    values = [ee_trend(params, qos, float(g)) for g in grid]
-    best = int(np.argmax(values))
-    if values[best] > 0.0:
-        return values[best]
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, len(grid) - 1)])
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = ee_trend(params, qos, c)
-    fd = ee_trend(params, qos, d)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = ee_trend(params, qos, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = ee_trend(params, qos, d)
-    return max(values[best], fc, fd)
+        return OptimumResult(Regime.UNGATED, 0.0, ee_baseline, ee_baseline, iterations, bracket)
+    ee_opt = energy_efficiency(params, qos, mid, METHOD_CLOSED)
+    return OptimumResult(Regime.GATED, mid, ee_opt, ee_baseline, iterations, bracket)
 
 
 def find_theta_threshold(
@@ -170,30 +149,26 @@ def find_theta_threshold(
 ) -> float:
     """QoS-exponent boundary between the gated and ungated regimes.
 
-    Bisects (in log space, to relative width 1e-4) on whether the trend
-    indicator is positive anywhere at or above the gating resolution. The
-    predicate must hold at theta_lo and fail at theta_hi.
+    The boundary is where the trend indicator at the gating resolution
+    changes sign, the test find_optimal_threshold applies to call a run
+    gated. Bisects in log theta to relative width 1e-4; the indicator must
+    be positive at theta_lo and not at theta_hi.
     """
     s = settings if settings is not None else SearchSettings()
     if not 0.0 < theta_lo < theta_hi:
         raise DomainError("need 0 < theta_lo < theta_hi")
 
-    def gated(theta: float) -> bool:
-        return _max_trend(params, theta, resolution, s.gamma0_cap) > 0.0
+    def gated(log_theta: float) -> bool:
+        return ee_trend(params, QosSpec(theta=math.exp(log_theta)), resolution) > 0.0
 
-    if not gated(theta_lo):
+    lo, hi = math.log(theta_lo), math.log(theta_hi)
+    if not gated(lo):
         raise PreconditionError(f"no gated regime at theta_lo = {theta_lo}")
-    if gated(theta_hi):
+    if gated(hi):
         raise PreconditionError(f"still gated at theta_hi = {theta_hi}")
 
-    lo, hi = theta_lo, theta_hi
-    while hi / lo > 1.0 + 1e-4:
-        mid = math.sqrt(lo * hi)
-        if gated(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi, _ = _bisect(gated, lo, hi, math.log1p(1e-4), s.max_iterations)
+    return 0.5 * (math.exp(lo) + math.exp(hi))
 
 
 def invert_effective_capacity(
@@ -216,18 +191,11 @@ def invert_effective_capacity(
             f"{capacity_at_zero:.6g} bits/s"
         )
 
-    hi = 1.0
-    while effective_capacity(params, qos, hi, method) > mu:
-        if hi >= s.gamma0_cap:
-            raise BracketError(f"capacity still above mu at gamma0_cap = {s.gamma0_cap}")
-        hi = min(2.0 * hi, s.gamma0_cap)
-    lo = 0.0
-    while hi - lo > s.epsilon:
-        mid = 0.5 * (lo + hi)
-        if effective_capacity(params, qos, mid, method) > mu:
-            lo = mid
-        else:
-            hi = mid
+    def carries(g: float) -> bool:
+        return effective_capacity(params, qos, g, method) > mu
+
+    hi = _grow_bracket(carries, 1.0, s.gamma0_cap, "capacity still above mu")
+    lo, hi, _ = _bisect(carries, 0.0, hi, s.epsilon, s.max_iterations)
     return 0.5 * (lo + hi)
 
 

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eelink import (
     BracketError,
@@ -9,6 +13,8 @@ from eelink import (
     QosSpec,
     Regime,
     SearchSettings,
+    dbm_to_watt,
+    default_params,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -26,6 +32,19 @@ PUBLISHED_ROWS = [
     (1e-6, 1.6606, 1.1544e5, 1.0489e5),
     (1e-7, 1.6636, 1.1554e5, 1.0489e5),
 ]
+
+
+def m2_link(distance_km, tx_dbm, circuit_power, idle_fraction):
+    """The reference link moved, re-powered and with its own power budget."""
+    tx_power = dbm_to_watt(tx_dbm)
+    return dataclasses.replace(
+        default_params(),
+        tx_power=tx_power,
+        circuit_power=circuit_power,
+        idle_power=idle_fraction * tx_power,
+        distance_km=distance_km,
+        path_loss=None,
+    )
 
 
 class TestFindOptimalThreshold:
@@ -105,12 +124,35 @@ class TestFindThetaThreshold:
         t = find_theta_threshold(params, 1e-5, 1e-2)
         assert t == pytest.approx(7.219e-4, rel=1e-2)
 
-    def test_boundary_consistency(self, params):
-        t = find_theta_threshold(params, 1e-5, 1e-2)
-        below = find_optimal_threshold(params, QosSpec(theta=0.98 * t))
-        above = find_optimal_threshold(params, QosSpec(theta=1.02 * t))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        distance_km=st.floats(min_value=0.3, max_value=2.0),
+        tx_dbm=st.floats(min_value=30.0, max_value=46.0),
+        log10_circuit=st.floats(min_value=-4.0, max_value=0.0),
+        idle_fraction=st.floats(min_value=0.0, max_value=0.01),
+    )
+    @example(distance_km=1.0, tx_dbm=43.0, log10_circuit=-1.0, idle_fraction=0.0)
+    def test_boundary_consistency(self, distance_km, tx_dbm, log10_circuit, idle_fraction):
+        link = m2_link(distance_km, tx_dbm, 10.0**log10_circuit, idle_fraction)
+        try:
+            t = find_theta_threshold(link, 1e-5, 1e-2)
+        except PreconditionError:
+            assume(False)  # boundary outside the bracket (low-SNR links)
+        below = find_optimal_threshold(link, QosSpec(theta=0.98 * t))
+        above = find_optimal_threshold(link, QosSpec(theta=1.02 * t))
         assert below.regime is Regime.GATED
         assert above.regime is Regime.UNGATED
+
+    def test_boundary_matches_optimizer_regime(self):
+        # Near the boundary the trend turns slightly positive again around
+        # gamma0 = 3.5, far outside the optimizer's bracket [0, 1]. The
+        # boundary must follow the trend at the resolution, as the optimizer
+        # does; counting that far hump put it at 6.70e-4, already ungated.
+        link = m2_link(1.0, 46.0, 5e-4, 0.0)
+        t = find_theta_threshold(link, 1e-5, 1e-2)
+        assert t == pytest.approx(5.928e-4, rel=1e-3)
+        assert find_optimal_threshold(link, QosSpec(theta=0.98 * t)).regime is Regime.GATED
+        assert find_optimal_threshold(link, QosSpec(theta=1.02 * t)).regime is Regime.UNGATED
 
     def test_predicate_must_flip(self, params):
         with pytest.raises(PreconditionError):
@@ -121,6 +163,10 @@ class TestFindThetaThreshold:
     def test_bad_bracket(self, params):
         with pytest.raises(DomainError):
             find_theta_threshold(params, 1e-2, 1e-5)
+
+    def test_iteration_guard(self, params):
+        with pytest.raises(BracketError):
+            find_theta_threshold(params, 1e-5, 1e-2, SearchSettings(max_iterations=3))
 
 
 class TestInvertEffectiveCapacity:
@@ -151,6 +197,11 @@ class TestInvertEffectiveCapacity:
     def test_bad_rate(self, params, qos_1e4):
         with pytest.raises(DomainError):
             invert_effective_capacity(params, qos_1e4, -5.0)
+
+    def test_unreachable_epsilon_hits_iteration_guard(self, params, qos_1e4):
+        # Below the float spacing of the bracket the width never shrinks.
+        with pytest.raises(BracketError):
+            invert_effective_capacity(params, qos_1e4, 1e6, SearchSettings(epsilon=1e-20))
 
 
 class TestSweep:

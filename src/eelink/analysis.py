@@ -3,9 +3,9 @@
 Everything revolves around the per-slot service decay moment
 E[exp(-theta * s)], where s is the gated Shannon service in bits. Its log
 gives the effective capacity; dividing by the two-mode power budget gives
-the energy efficiency. A closed form exists for fading_m == 2 (large mean
-SNR folds the integral into an upper incomplete gamma); the exact route
-integrates the true kernel numerically and works for any m.
+the energy efficiency. For any fading m, the closed form takes the mean SNR
+as large, which folds the integral into an upper incomplete gamma; the exact
+route integrates the true kernel numerically.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import DomainError
 from .special import QuadratureSettings, integrate, upper_incomplete_gamma
 
 METHOD_EXACT = "exact_quadrature"
-METHOD_CLOSED = "closed_form_m2"
+METHOD_CLOSED = "closed_form"
 _METHODS = (METHOD_EXACT, METHOD_CLOSED)
 
 
@@ -40,11 +40,8 @@ class QosSpec:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Analytics at one (theta, gamma0) operating point.
-
-    service_mgf and ee_trend come from the m = 2 closed form and are None
-    for other fading parameters.
-    """
+    """Analytics at one (theta, gamma0) operating point, every field from the
+    one method analyze was given."""
 
     gamma0: float
     effective_capacity: float
@@ -52,8 +49,8 @@ class AnalysisResult:
     p_idle: float
     total_power: float
     ee: float
-    service_mgf: float | None
-    ee_trend: float | None
+    service_mgf: float
+    ee_trend: float
     log_mgf: float
 
 
@@ -63,39 +60,49 @@ def _check_gamma0(gamma0: float) -> None:
 
 
 def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:
-    # log E[exp(-theta s)] for m = 2, given p_idle = cdf(params, gamma0). The
-    # prefactor (mean_snr / 2)^(exponent_rate * theta) is kept in log space:
-    # the mean SNR is of order 10^3 and direct powers lose precision.
-    if params.fading_m != 2.0:
-        raise DomainError(f"{METHOD_CLOSED} requires fading_m == 2, got {params.fading_m}")
+    # log E[exp(-theta s)] given p_idle = cdf(params, gamma0). Large mean SNR
+    # replaces 1 + snr g by snr g on the transmit side, whose integral is then
+    # (mean_snr / m)^a Gamma(m + a, m gamma0) / Gamma(m). The prefactor is
+    # kept in log space: the mean SNR is of order 10^3 and direct powers lose
+    # precision.
+    m = params.fading_m
     c = derived_constants(params)
     a = c.exponent_rate * theta
-    if gamma0 == 0.0 and 2.0 + a <= 0.0:
+    if gamma0 == 0.0 and m + a <= 0.0:
         raise DomainError(
-            f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-2.0 / c.exponent_rate:.4e}"
+            f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-m / c.exponent_rate:.4e}"
         )
-    log_tail = a * (math.log(c.mean_snr) - math.log(2.0)) + math.log(
-        upper_incomplete_gamma(2.0 + a, 2.0 * gamma0)
+    log_tail = (
+        a * (math.log(c.mean_snr) - math.log(m))
+        + math.log(upper_incomplete_gamma(m + a, m * gamma0))
+        - math.lgamma(m)
     )
     if p_idle == 0.0:
         return log_tail
     return float(np.logaddexp(math.log(p_idle), log_tail))
 
 
-def _log_mgf_exact(
+def _log_mgf(
     params: SystemParams,
     theta: float,
     gamma0: float,
+    p_idle: float,
+    method: str,
     settings: QuadratureSettings | None,
 ) -> float:
+    # log E[exp(-theta s)] by the given method, with p_idle = cdf(params,
+    # gamma0); the exact route integrates the true kernel over the tail.
+    if method == METHOD_CLOSED:
+        return _log_mgf_closed(params, theta, gamma0, p_idle)
+    if method != METHOD_EXACT:
+        raise DomainError(f"unknown method {method!r}; expected one of {_METHODS}")
     c = derived_constants(params)
     a = c.exponent_rate * theta
 
     def integrand(g: float) -> float:
         return (1.0 + c.mean_snr * g) ** a * pdf(params, g)
 
-    tail = integrate(integrand, gamma0, math.inf, settings)
-    return math.log(cdf(params, gamma0) + tail)
+    return math.log(p_idle + integrate(integrand, gamma0, math.inf, settings))
 
 
 def log_service_mgf(
@@ -107,11 +114,7 @@ def log_service_mgf(
 ) -> float:
     """Natural log of the per-slot service decay moment E[exp(-theta s)]."""
     _check_gamma0(gamma0)
-    if method == METHOD_CLOSED:
-        return _log_mgf_closed(params, qos.theta, gamma0, cdf(params, gamma0))
-    if method == METHOD_EXACT:
-        return _log_mgf_exact(params, qos.theta, gamma0, settings)
-    raise DomainError(f"unknown method {method!r}; expected one of {_METHODS}")
+    return _log_mgf(params, qos.theta, gamma0, cdf(params, gamma0), method, settings)
 
 
 def service_mgf(
@@ -169,7 +172,7 @@ def energy_efficiency(
 
 
 def ee_trend(params: SystemParams, qos: QosSpec, gamma0: float) -> float:
-    """Trend indicator for energy efficiency versus the threshold (m = 2).
+    """Trend indicator for energy efficiency versus the threshold.
 
     Its sign matches the sign of d(EE)/d(gamma0): positive while raising the
     threshold still helps, negative once it hurts. Cheap to evaluate, so the
@@ -183,8 +186,8 @@ def ee_trend(params: SystemParams, qos: QosSpec, gamma0: float) -> float:
 def _trend(
     params: SystemParams, theta: float, gamma0: float, log_mgf: float, power: float
 ) -> float:
-    # ee_trend's formula, given the closed-form log-MGF and the total power
-    # at gamma0, so analyze can reuse the values it already has.
+    # ee_trend's formula, given the log-MGF and the total power at gamma0, so
+    # analyze can reuse the values it already has.
     c = derived_constants(params)
     a = c.exponent_rate * theta
     swing = params.tx_power - params.idle_power
@@ -216,15 +219,7 @@ def analyze(
     """Bundle every per-point quantity into one result."""
     p_tr, p_idle = mode_probabilities(params, gamma0)
     power = _power(params, p_tr, p_idle)
-    mgf = trend = closed = None
-    if params.fading_m == 2.0:
-        closed = _log_mgf_closed(params, qos.theta, gamma0, p_idle)
-        mgf = math.exp(closed)
-        trend = _trend(params, qos.theta, gamma0, closed, power)
-    if method == METHOD_CLOSED and closed is not None:
-        log_mgf = closed
-    else:
-        log_mgf = log_service_mgf(params, qos, gamma0, method, settings)
+    log_mgf = _log_mgf(params, qos.theta, gamma0, p_idle, method, settings)
     alpha = -log_mgf / (qos.theta * params.slot_duration)
     return AnalysisResult(
         gamma0=gamma0,
@@ -233,8 +228,8 @@ def analyze(
         p_idle=p_idle,
         total_power=power,
         ee=alpha / power,
-        service_mgf=mgf,
-        ee_trend=trend,
+        service_mgf=math.exp(log_mgf),
+        ee_trend=_trend(params, qos.theta, gamma0, log_mgf, power),
         log_mgf=log_mgf,
     )
 

@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="analytics at one (theta, gamma0) point")
-    p.add_argument("--exact", action="store_true", help="use quadrature instead of the m=2 closed form")
+    p.add_argument("--exact", action="store_true", help="use quadrature instead of the closed form")
     _add_common_options(p)
     p.set_defaults(fn=_cmd_analyze)
 

@@ -16,6 +16,7 @@ from eelink import (
     effective_capacity,
     energy_efficiency,
     gamma_fn,
+    log_service_mgf,
     mean_service_rate,
     mode_probabilities,
     service_mgf,
@@ -42,12 +43,14 @@ class TestEffectiveCapacity:
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-3
 
-    def test_methods_agree(self, params, qos_1e4):
-        exact = effective_capacity(params, qos_1e4, 1.0, METHOD_EXACT)
-        closed = effective_capacity(params, qos_1e4, 1.0, METHOD_CLOSED)
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0, 3.0, 5.5])
+    def test_methods_agree(self, params, qos_1e4, m):
+        link = dataclasses.replace(params, fading_m=m)
+        exact = effective_capacity(link, qos_1e4, 1.0, METHOD_EXACT)
+        closed = effective_capacity(link, qos_1e4, 1.0, METHOD_CLOSED)
         # The closed form replaces 1 + snr*g by snr*g inside the integral;
-        # the measured gap at this point is 1.63e-5, frozen as a regression
-        # bound.
+        # the measured gap at this point runs from 1.43e-5 (m = 1) through
+        # 1.63e-5 (m = 2) to 1.90e-5 (m = 5.5), frozen as a regression bound.
         assert abs(exact - closed) / exact < 2e-5
 
     def test_nonincreasing_in_threshold(self, params, qos_1e4):
@@ -71,15 +74,9 @@ class TestEffectiveCapacity:
                 mean_service_rate(params, g), rel=1e-3
             )
 
-    def test_closed_form_requires_m2(self, params, qos_1e4):
-        rayleigh = dataclasses.replace(params, fading_m=1.0)
-        with pytest.raises(DomainError):
-            effective_capacity(rayleigh, qos_1e4, 0.5, METHOD_CLOSED)
-        assert effective_capacity(rayleigh, qos_1e4, 0.5, METHOD_EXACT) > 0.0
-
     def test_unknown_method(self, params, qos_1e4):
         with pytest.raises(DomainError):
-            effective_capacity(params, qos_1e4, 0.5, "closed_form")
+            effective_capacity(params, qos_1e4, 0.5, "closed_form_m2")
 
     def test_closed_form_domain_edge_at_zero(self, params):
         c = derived_constants(params)
@@ -149,6 +146,30 @@ class TestServiceMgf:
 
     def test_derived_value(self, params, qos_1e4):
         assert service_mgf(params, qos_1e4, 1.0) == pytest.approx(MGF_AT_1, rel=1e-10)
+
+    def test_closed_form_matches_mpmath(self, params):
+        # 40-digit evaluation of the same closed form,
+        # log(P(g < gamma0) + (snr / m)^a Gamma(m + a, m gamma0) / Gamma(m)).
+        # The absolute term covers the rounding of log(p_idle) under deep
+        # gating, where p_idle sits next to 1.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        snr = mpmath.mpf(derived_constants(params).mean_snr)
+        for m in (0.5, 1.0, 1.5, 3.0, 5.5):
+            link = dataclasses.replace(params, fading_m=m)
+            for theta in (1e-6, 1e-4, 1e-3, 5e-3):
+                qos = QosSpec(theta=theta)
+                a = mpmath.mpf(derived_constants(link).exponent_rate) * theta
+                for g in (0.0, 0.05, 0.5, 1.5, 4.0):
+                    if g == 0.0 and m + a <= 0:
+                        with pytest.raises(DomainError):
+                            log_service_mgf(link, qos, g)
+                        continue
+                    p_idle = mpmath.gammainc(m, 0, m * g, regularized=True)
+                    tail = (snr / m) ** a * mpmath.gammainc(m + a, m * g) / mpmath.gamma(m)
+                    expected = float(mpmath.log(p_idle + tail))
+                    got = log_service_mgf(link, qos, g)
+                    assert abs(got - expected) <= 1e-9 * abs(expected) + 1e-15, (m, theta, g)
 
     @pytest.mark.parametrize("theta", [1e-6, 1e-5, 1e-4, 1e-3])
     def test_monotone_and_bounded(self, params, theta):
@@ -229,11 +250,19 @@ class TestAnalyze:
         assert r.log_mgf == pytest.approx(math.log(r.service_mgf), rel=1e-12)
         assert 0.0 < r.service_mgf < 1.0
 
-    def test_general_m_has_no_closed_fields(self, params, qos_1e4):
-        rician_like = dataclasses.replace(params, fading_m=3.0)
-        r = analyze(rician_like, qos_1e4, 0.5, method=METHOD_EXACT)
-        assert r.service_mgf is None and r.ee_trend is None
-        assert r.effective_capacity > 0.0
+    def test_general_m_exact_fields(self, params, qos_1e4):
+        # Every field comes from the method asked for: with quadrature the
+        # trend's sign is that of the exact EE's slope.
+        link = dataclasses.replace(params, fading_m=3.0)
+        h = 1e-5
+        for g in np.arange(0.05, 3.0001, 0.05):
+            g = float(g)
+            r = analyze(link, qos_1e4, g, method=METHOD_EXACT)
+            assert r.service_mgf == math.exp(r.log_mgf)
+            slope = energy_efficiency(link, qos_1e4, g + h, METHOD_EXACT) - energy_efficiency(
+                link, qos_1e4, g - h, METHOD_EXACT
+            )
+            assert math.copysign(1.0, slope) == math.copysign(1.0, r.ee_trend), g
 
 
 class TestQosSpec:

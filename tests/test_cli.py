@@ -45,6 +45,13 @@ class TestAnalyze:
         parsed, _ = fields(capsys)
         assert float(parsed["effective_capacity_bps"]) == pytest.approx(867861.6, rel=1e-4)
 
+    def test_exact_method_outside_closed_form_domain(self, capsys):
+        # theta = 0.01 at gamma0 = 0 lies past the closed form's domain edge;
+        # quadrature alone answers it.
+        assert main(["analyze", "--exact", "--theta", "0.01", "--gamma0", "0"]) == 0
+        parsed, _ = fields(capsys)
+        assert float(parsed["effective_capacity_bps"]) == pytest.approx(1.5338e6, rel=1e-4)
+
     def test_json_output(self, capsys):
         assert main(["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--json"]) == 0
         out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from eelink import (
     SearchSettings,
     dbm_to_watt,
     default_params,
+    derived_constants,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -34,11 +35,13 @@ PUBLISHED_ROWS = [
 ]
 
 
-def m2_link(distance_km, tx_dbm, circuit_power, idle_fraction):
-    """The reference link moved, re-powered and with its own power budget."""
+def link(m, distance_km, tx_dbm, circuit_power, idle_fraction):
+    """The reference link with fading m, moved, re-powered and with its own
+    power budget."""
     tx_power = dbm_to_watt(tx_dbm)
     return dataclasses.replace(
         default_params(),
+        fading_m=m,
         tx_power=tx_power,
         circuit_power=circuit_power,
         idle_power=idle_fraction * tx_power,
@@ -113,6 +116,15 @@ class TestFindOptimalThreshold:
                 params, QosSpec(theta=1e-5), SearchSettings(gamma0_cap=1.0)
             )
 
+    def test_any_fading_m(self, params, qos_1e4):
+        rician_like = dataclasses.replace(params, fading_m=3.0)
+        r = find_optimal_threshold(rician_like, qos_1e4)
+        assert r.regime is Regime.GATED
+        assert r.gamma0_opt == pytest.approx(0.4067, abs=1e-3)
+        assert ee_trend(rician_like, qos_1e4, r.gamma0_opt - 1e-6) > 0.0
+        assert ee_trend(rician_like, qos_1e4, r.gamma0_opt + 1e-6) < 0.0
+        assert r.ee_opt > r.ee_baseline
+
     def test_iterations_are_reported(self, params, qos_1e4):
         r = find_optimal_threshold(params, qos_1e4)
         assert r.iterations > 10
@@ -126,20 +138,23 @@ class TestFindThetaThreshold:
 
     @settings(max_examples=150, deadline=None)
     @given(
+        m=st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.5]),
         distance_km=st.floats(min_value=0.3, max_value=2.0),
         tx_dbm=st.floats(min_value=30.0, max_value=46.0),
         log10_circuit=st.floats(min_value=-4.0, max_value=0.0),
         idle_fraction=st.floats(min_value=0.0, max_value=0.01),
     )
-    @example(distance_km=1.0, tx_dbm=43.0, log10_circuit=-1.0, idle_fraction=0.0)
-    def test_boundary_consistency(self, distance_km, tx_dbm, log10_circuit, idle_fraction):
-        link = m2_link(distance_km, tx_dbm, 10.0**log10_circuit, idle_fraction)
+    @example(m=2.0, distance_km=1.0, tx_dbm=43.0, log10_circuit=-1.0, idle_fraction=0.0)
+    def test_boundary_consistency(self, m, distance_km, tx_dbm, log10_circuit, idle_fraction):
+        params = link(m, distance_km, tx_dbm, 10.0**log10_circuit, idle_fraction)
         try:
-            t = find_theta_threshold(link, 1e-5, 1e-2)
+            t = find_theta_threshold(params, 1e-5, 1e-2)
         except PreconditionError:
             assume(False)  # boundary outside the bracket (low-SNR links)
-        below = find_optimal_threshold(link, QosSpec(theta=0.98 * t))
-        above = find_optimal_threshold(link, QosSpec(theta=1.02 * t))
+        # The zero-threshold baseline needs the closed form's gamma0 = 0 domain.
+        assume(1.02 * t < -m / derived_constants(params).exponent_rate)
+        below = find_optimal_threshold(params, QosSpec(theta=0.98 * t))
+        above = find_optimal_threshold(params, QosSpec(theta=1.02 * t))
         assert below.regime is Regime.GATED
         assert above.regime is Regime.UNGATED
 
@@ -148,11 +163,11 @@ class TestFindThetaThreshold:
         # gamma0 = 3.5, far outside the optimizer's bracket [0, 1]. The
         # boundary must follow the trend at the resolution, as the optimizer
         # does; counting that far hump put it at 6.70e-4, already ungated.
-        link = m2_link(1.0, 46.0, 5e-4, 0.0)
-        t = find_theta_threshold(link, 1e-5, 1e-2)
+        params = link(2.0, 1.0, 46.0, 5e-4, 0.0)
+        t = find_theta_threshold(params, 1e-5, 1e-2)
         assert t == pytest.approx(5.928e-4, rel=1e-3)
-        assert find_optimal_threshold(link, QosSpec(theta=0.98 * t)).regime is Regime.GATED
-        assert find_optimal_threshold(link, QosSpec(theta=1.02 * t)).regime is Regime.UNGATED
+        assert find_optimal_threshold(params, QosSpec(theta=0.98 * t)).regime is Regime.GATED
+        assert find_optimal_threshold(params, QosSpec(theta=1.02 * t)).regime is Regime.UNGATED
 
     def test_predicate_must_flip(self, params):
         with pytest.raises(PreconditionError):

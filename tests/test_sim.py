@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -120,6 +121,16 @@ class TestCurve:
         assert not points[0].unstable
         assert points[1].unstable
         assert points[1].report is not None  # guard not tripped, run kept
+
+    def test_any_fading_m(self, params, qos_1e4):
+        # The stability flag follows the closed-form capacity at m = 3 too:
+        # about 899.6e3, 369.4e3 and 133.2e3 bit/s at the three thresholds.
+        rician_like = dataclasses.replace(params, fading_m=3.0)
+        points = ee_vs_threshold_curve(
+            config(rician_like, 300e3, 0.0, num_slots=20_000), [1.0, 1.5, 2.0], qos=qos_1e4
+        )
+        assert [pt.unstable for pt in points] == [False, False, True]
+        assert all(pt.report is not None for pt in points)
 
     def test_single_point_curve(self, params):
         points = ee_vs_threshold_curve(config(params, 300e3, 0.0, num_slots=5_000), [0.0])

@@ -99,10 +99,20 @@ def _log_mgf(
     c = derived_constants(params)
     a = c.exponent_rate * theta
 
-    def integrand(g: float) -> float:
-        return (1.0 + c.mean_snr * g) ** a * pdf(params, g)
+    # 1 - F, integrated as such: F = 1 - (1 - F) keeps full relative
+    # accuracy in log F however small theta makes 1 - F.
+    def deficit(g: np.ndarray) -> np.ndarray:
+        return -np.expm1(a * np.log1p(c.mean_snr * g)) * pdf(params, g)
 
-    return math.log(p_idle + integrate(integrand, gamma0, math.inf, settings))
+    one_minus_f = integrate(deficit, gamma0, math.inf, settings)
+    if one_minus_f <= 0.5:
+        return math.log1p(-one_minus_f)
+
+    # F is small here, so integrate it directly rather than as 1 - (1 - F).
+    def kernel(g: np.ndarray) -> np.ndarray:
+        return np.exp(a * np.log1p(c.mean_snr * g)) * pdf(params, g)
+
+    return math.log(p_idle + integrate(kernel, gamma0, math.inf, settings))
 
 
 def log_service_mgf(
@@ -244,7 +254,7 @@ def mean_service_rate(
     _check_gamma0(gamma0)
     c = derived_constants(params)
 
-    def integrand(g: float) -> float:
-        return params.bandwidth * math.log2(1.0 + c.mean_snr * g) * pdf(params, g)
+    def integrand(g: np.ndarray) -> np.ndarray:
+        return params.bandwidth * np.log2(1.0 + c.mean_snr * g) * pdf(params, g)
 
     return integrate(integrand, gamma0, math.inf, settings)

@@ -117,16 +117,21 @@ def default_params() -> SystemParams:
     )
 
 
-def pdf(params: SystemParams, gain: float) -> float:
-    """Density of the unit-mean channel power gain at the given point."""
-    if gain < 0.0:
-        raise DomainError(f"gain must be nonnegative, got {gain}")
+def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
+    """Density of the unit-mean channel power gain at the given point, or
+    elementwise over an array of points (then an array comes back)."""
+    g = np.asarray(gain, dtype=float)
+    if (g < 0.0).any():
+        raise DomainError(f"gain must be nonnegative, got {g.min()}")
     m = params.fading_m
-    if gain == 0.0:
-        if m > 1.0:
-            return 0.0
-        return m if m == 1.0 else math.inf
-    return m**m * gain ** (m - 1.0) * math.exp(-m * gain) / gamma_fn(m)
+    # In log space, so m^m and g^(m - 1) cannot overflow. At g = 0 the power
+    # term is -inf or +inf as m is above or below 1, giving density 0 or inf.
+    power = 0.0
+    if m != 1.0:
+        with np.errstate(divide="ignore"):
+            power = (m - 1.0) * np.log(g)
+    density = np.exp(m * math.log(m) - math.lgamma(m) + power - m * g)
+    return float(density) if density.ndim == 0 else density
 
 
 def tail_probability(params: SystemParams, threshold: float) -> float:

@@ -74,6 +74,14 @@ class TestEffectiveCapacity:
                 mean_service_rate(params, g), rel=1e-3
             )
 
+    def test_exact_capacity_below_mean_rate_at_tiny_theta(self, params):
+        # -log E[exp(-theta s)] <= theta E[s] (Jensen), with a gap of about
+        # 1e-13 relative at theta = 1e-14: 1 - F must not cancel against F.
+        alpha = effective_capacity(params, QosSpec(theta=1e-14), 0.0, METHOD_EXACT)
+        mean_rate = mean_service_rate(params, 0.0)
+        assert alpha <= mean_rate
+        assert alpha == pytest.approx(mean_rate, rel=1e-12)
+
     def test_unknown_method(self, params, qos_1e4):
         with pytest.raises(DomainError):
             effective_capacity(params, qos_1e4, 0.5, "closed_form_m2")
@@ -170,6 +178,32 @@ class TestServiceMgf:
                     expected = float(mpmath.log(p_idle + tail))
                     got = log_service_mgf(link, qos, g)
                     assert abs(got - expected) <= 1e-9 * abs(expected) + 1e-15, (m, theta, g)
+
+    def test_exact_matches_mpmath(self, params):
+        # 20-digit quadrature of 1 - F = E[1 - (1 + snr g)^a; g >= gamma0],
+        # then log F = log1p(-(1 - F)). The bound is 1e-12 relative, with an
+        # absolute floor of 1e-24 where |log F| < 1e-12 (deep gating at
+        # large m, where 1 - F itself is that small).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            for m in (0.5, 1.0, 1.5, 2.0, 3.0, 5.5):
+                link = dataclasses.replace(params, fading_m=m)
+                c = derived_constants(link)
+                snr = mpmath.mpf(c.mean_snr)
+                log_norm = m * mpmath.log(m) - mpmath.loggamma(m)
+                for theta in (1e-7, 1e-4, 5e-3):
+                    a = mpmath.mpf(c.exponent_rate) * theta
+
+                    def deficit(g):
+                        density = mpmath.exp(log_norm + (m - 1) * mpmath.log(g) - m * g)
+                        return -mpmath.expm1(a * mpmath.log1p(snr * g)) * density
+
+                    for g0 in (0.0, 0.5, 4.0, 10.0):
+                        cuts = [g0, g0 + 1e-3, g0 + 1.0, g0 + 20.0, mpmath.inf]
+                        expected = float(mpmath.log1p(-mpmath.quad(deficit, cuts)))
+                        got = log_service_mgf(link, QosSpec(theta=theta), g0, METHOD_EXACT)
+                        bound = 1e-12 * max(abs(expected), 1e-12)
+                        assert abs(got - expected) <= bound, (m, theta, g0)
 
     @pytest.mark.parametrize("theta", [1e-6, 1e-5, 1e-4, 1e-3])
     def test_monotone_and_bounded(self, params, theta):

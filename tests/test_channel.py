@@ -99,6 +99,20 @@ class TestDensity:
     def test_negative_gain_rejected(self, params):
         with pytest.raises(DomainError):
             pdf(params, -0.1)
+        with pytest.raises(DomainError):
+            pdf(params, np.array([0.5, -1e-3, 2.0]))
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.5])
+    def test_array_matches_scalar(self, params, m):
+        import dataclasses
+
+        p = dataclasses.replace(params, fading_m=m)
+        gains = np.array([0.0, 1e-30, 0.3, 1.0, 7.5, 40.0])
+        got = pdf(p, gains)
+        assert isinstance(got, np.ndarray) and got.shape == gains.shape
+        scalar = [pdf(p, float(g)) for g in gains]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_allclose(got, scalar, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("m", [1.0, 2.0, 3.5])
     def test_unit_mass(self, params, m):

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eelink
 from eelink.cli import main
 
 
@@ -263,3 +268,15 @@ class TestConfigFile:
         cfg.write_text("theta = 1e-4\n")
         rc = main(["optimize", "--config", str(cfg), "--paper-defaults"])
         assert rc != 0
+
+
+def test_import_loads_no_scipy():
+    # Every CLI call pays for what `import eelink.cli` loads; scipy alone
+    # used to be most of it.
+    src = str(Path(eelink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, eelink.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,7 +62,7 @@ class TestUpperIncompleteGamma:
     def test_negative_integer_order(self):
         # The recurrence passes through the exponential integral at order 0.
         val = upper_incomplete_gamma(-2.0, 1.5)
-        check = integrate(lambda w: w**-3.0 * math.exp(-w), 1.5, math.inf)
+        check = integrate(lambda w: w**-3.0 * np.exp(-w), 1.5, math.inf)
         assert rel(val, check) < 1e-9
 
     def test_zero_argument_equals_complete(self):
@@ -98,23 +99,44 @@ class TestUpperIncompleteGamma:
     @pytest.mark.parametrize("z", [0.5, 2.0, 10.0])
     def test_agrees_with_quadrature(self, v, z):
         direct = upper_incomplete_gamma(v, z)
-        quad = integrate(lambda w: w ** (v - 1.0) * math.exp(-w), z, math.inf)
+        quad = integrate(lambda w: w ** (v - 1.0) * np.exp(-w), z, math.inf)
         assert rel(direct, quad) < 1e-8
 
 
 class TestIntegrate:
     def test_exponential_mass(self):
-        assert integrate(lambda w: math.exp(-w), 0.0, math.inf) == pytest.approx(1.0, rel=1e-10)
+        assert integrate(lambda w: np.exp(-w), 0.0, math.inf) == pytest.approx(1.0, rel=1e-10)
 
     def test_gain_density_mass(self):
-        assert integrate(lambda w: 4.0 * w * math.exp(-2.0 * w), 0.0, math.inf) == pytest.approx(
+        assert integrate(lambda w: 4.0 * w * np.exp(-2.0 * w), 0.0, math.inf) == pytest.approx(
             1.0, rel=1e-10
         )
 
     def test_gain_density_partial_mass(self):
         # Closed form 1 - e^(-2 g)(2 g + 1) at g = 0.5323, fixed before the build.
-        got = integrate(lambda w: 4.0 * w * math.exp(-2.0 * w), 0.0, 0.5323)
+        got = integrate(lambda w: 4.0 * w * np.exp(-2.0 * w), 0.0, 0.5323)
         assert got == pytest.approx(0.28799012405041347, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "f,lo,hi,expected",
+        [
+            # Integrable singularity at an end, finite and semi-infinite.
+            (lambda w: w**-0.5 * np.exp(-w), 0.0, 1.0, lambda mp: mp.gammainc(0.5, 0, 1)),
+            (lambda w: w**-0.5 * np.exp(-w), 0.0, math.inf, lambda mp: mp.gamma(0.5)),
+            (lambda w: -np.log(w), 0.0, 1.0, lambda mp: mp.mpf(1)),
+            (lambda w: w**1.5 * np.exp(-w), 2.0, 7.0, lambda mp: mp.gammainc(2.5, 2, 7)),
+            (lambda w: np.cos(3.0 * w), -1.0, 2.0, lambda mp: (mp.sin(6) + mp.sin(3)) / 3),
+            (lambda w: w**-3.5 * np.exp(-w), 10.0, math.inf, lambda mp: mp.gammainc(-2.5, 10)),
+            (lambda w: 1.0 / (1.0 + w * w), 0.0, math.inf, lambda mp: mp.pi / 2),
+        ],
+        ids=["sqrt-sing-finite", "sqrt-sing-inf", "log-sing", "finite", "cos",
+             "neg-order-tail", "algebraic-decay"],
+    )
+    def test_matches_mpmath(self, f, lo, hi, expected):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = float(expected(mpmath))
+        assert rel(integrate(f, lo, hi), want) < 1e-12
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
@@ -123,7 +145,7 @@ class TestIntegrate:
     def test_budget_exhaustion(self):
         squeezed = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
         with pytest.raises(QuadratureError):
-            integrate(lambda w: math.cos(50.0 * w), 0.0, 10.0, squeezed)
+            integrate(lambda w: np.cos(50.0 * w), 0.0, 10.0, squeezed)
 
     def test_settings_validation(self):
         with pytest.raises(DomainError):

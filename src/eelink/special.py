@@ -27,17 +27,19 @@ from .errors import DomainError, PoleError, QuadratureError
 _EULER = 0.5772156649015329
 _TERM_EPS = 1e-15          # series / continued-fraction termination
 _MAX_TERMS = 10_000
+_DE_LEVELS = 5             # step halvings held by the quadrature tables
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tolerances and budget for `integrate`: it stops once the sums at step h
     and step 2h differ by at most max(abs_tol, rel_tol * |sum|), after at
-    most max_subdivisions halvings of the step."""
+    most max_subdivisions halvings of the step. The default is the tables'
+    depth, 5 halvings, which also caps larger values."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
+    max_subdivisions: int = _DE_LEVELS
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
@@ -170,7 +172,6 @@ def upper_incomplete_gamma(v: float, z: float) -> float:
 # integrable endpoint singularity and at least algebraic decay.
 _DE_T = 4.5
 _DE_H0 = 1.0 / 16.0
-_DE_LEVELS = 5
 
 
 def _de_tables() -> list[tuple]:

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from eelink import (
@@ -15,9 +17,12 @@ from eelink import (
     run,
     total_power,
 )
+from eelink.channel import derived_constants, sample_gains
+from eelink.sim import QUEUE_GUARD_BITS, _BLOCK_SLOTS
 
 SLOTS = 200_000
 SEED = 4  # draws land within 0.1% of the analytic mode occupancy
+C = _BLOCK_SLOTS
 
 
 def config(params, mu, gamma0, **kw):
@@ -91,6 +96,83 @@ class TestRun:
             config(params, 1e5, 0.5, num_slots=100, warmup_slots=100)
 
 
+def whole_array_run(config):
+    """The simulator as one pass over whole arrays: one gain draw, one
+    cumsum and one running minimum over every slot. Returns the report's
+    fields and the first slot past the stability guard (None if none)."""
+    p = config.params
+    gains = sample_gains(p, np.random.default_rng(config.seed), config.num_slots)
+    snr = derived_constants(p).mean_snr
+    transmit = gains >= config.gamma0
+    service = np.where(transmit, p.slot_duration * p.bandwidth * np.log2(1.0 + snr * gains), 0.0)
+    path = np.cumsum(config.arrival_rate * p.slot_duration - service)
+    queue = path - np.minimum(np.minimum.accumulate(path), 0.0)
+    over = queue > QUEUE_GUARD_BITS
+    overflow_slot = int(np.argmax(over)) if over.any() else None
+    warmup = config.resolved_warmup()
+    q, n = queue[warmup:], config.num_slots - warmup
+    p_tr = np.count_nonzero(transmit[warmup:]) / n
+    fields = {
+        "p_tr_hat": p_tr,
+        "p_b_hat": np.count_nonzero(q > 0.0) / n,
+        "delay_outage_hat": None if config.delay_bound is None
+        else np.count_nonzero(q / config.arrival_rate > config.delay_bound) / n,
+        "mean_queue": float(q.mean()),
+        "max_queue": float(q.max()),
+        "mean_power": p.circuit_power + p.tx_power * p_tr + p.idle_power * (1.0 - p_tr),
+    }
+    return fields, overflow_slot
+
+
+def assert_matches_whole_array(config):
+    expected, overflow_slot = whole_array_run(config)
+    assert overflow_slot is None
+    report = run(config)
+    for name, value in expected.items():
+        if name == "mean_queue":
+            # Summed block by block rather than in one pairwise sum.
+            assert report.mean_queue == pytest.approx(value, rel=1e-12, abs=0.0)
+        else:
+            assert getattr(report, name) == value, name
+
+
+class TestBlocks:
+    """The blockwise pass against the whole-array form at block edges."""
+
+    @pytest.mark.parametrize("num_slots", [1, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize("m", [0.5, 2.0, 5.5])
+    def test_num_slots_across_block_edges(self, params, num_slots, m):
+        link = dataclasses.replace(params, fading_m=m)
+        assert_matches_whole_array(
+            config(link, 8e5, 0.6, num_slots=num_slots, seed=11, delay_bound=0.01)
+        )
+
+    @pytest.mark.parametrize("warmup", [C // 2, C, C + C // 3])
+    def test_warmup_across_block_edges(self, params, warmup):
+        assert_matches_whole_array(
+            config(params, 8e5, 0.6, num_slots=2 * C + 1, delay_bound=0.01, warmup_slots=warmup)
+        )
+
+    def test_overflow_in_a_later_block_reports_its_global_slot(self, params):
+        cfg = config(params, 1.2e10, 0.5, num_slots=2 * C + 1)
+        _, overflow_slot = whole_array_run(cfg)
+        assert C < overflow_slot < 2 * C
+        with pytest.raises(QueueOverflowError, match=f"at slot {overflow_slot};"):
+            run(cfg)
+
+    def test_memory_does_not_grow_with_slots(self, params):
+        def peak(num_slots):
+            cfg = config(params, 1519.7e3, 0.53, num_slots=num_slots, delay_bound=0.01)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2_000_000) <= 1.5 * peak(200_000)
+
+
 class TestImprovement:
     def test_published_high_rate_gain(self, params):
         gain = improvement_vs_baseline(config(params, 1519.7e3, 0.53))
@@ -102,6 +184,19 @@ class TestImprovement:
 
     def test_self_comparison_is_zero(self, params):
         assert improvement_vs_baseline(config(params, 300e3, 0.0, num_slots=10_000)) == 0.0
+
+    def test_matches_a_zero_threshold_run(self, params):
+        cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
+        gated = run(cfg)
+        baseline = run(dataclasses.replace(cfg, gamma0=0.0))
+        gain = improvement_vs_baseline(cfg)
+        assert gain == (gated.empirical_ee - baseline.empirical_ee) / baseline.empirical_ee
+        full_power = params.circuit_power + params.tx_power
+        assert gain == pytest.approx(full_power / gated.mean_power - 1.0, rel=1e-14)
+
+    def test_overflow_guard(self, params):
+        with pytest.raises(QueueOverflowError):
+            improvement_vs_baseline(config(params, 1e13, 0.5, num_slots=500))
 
 
 class TestCurve:
@@ -153,6 +248,17 @@ class TestDelayTail:
         outages = [o for _, o in curve]
         assert all(o > 0.0 for o in outages)
         assert all(a > b for a, b in zip(outages, outages[1:]))
+
+    def test_one_pass_matches_a_run_per_bound(self, params):
+        cfg = config(params, 8e5, 0.6, num_slots=2 * C + 1, delay_bound=0.5)
+        bounds = [0.001, 0.005, 0.01, 0.05]
+        assert delay_outage_curve(cfg, bounds) == [
+            (d, run(dataclasses.replace(cfg, delay_bound=d)).delay_outage_hat) for d in bounds
+        ]
+
+    def test_nonpositive_bound_rejected(self, params):
+        with pytest.raises(DomainError):
+            delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [0.01, 0.0])
 
     def test_waiting_time_scale(self, params):
         # One fluid-FIFO sanity point: outage at a bound beyond the largest

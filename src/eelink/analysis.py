@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemParams, cdf, derived_constants, pdf, tail_probability
-from .errors import DomainError
+from .errors import DomainError, _require_finite
 from .special import QuadratureSettings, integrate, upper_incomplete_gamma
 
 METHOD_EXACT = "exact_quadrature"
@@ -32,6 +32,7 @@ class QosSpec:
     delay_bound: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.theta <= 0.0:
             raise DomainError("theta must be positive")
         if self.delay_bound is not None and self.delay_bound <= 0.0:
@@ -55,8 +56,8 @@ class AnalysisResult:
 
 
 def _check_gamma0(gamma0: float) -> None:
-    if gamma0 < 0.0:
-        raise DomainError(f"gamma0 must be nonnegative, got {gamma0}")
+    if not 0.0 <= gamma0 < math.inf:
+        raise DomainError(f"gamma0 must be nonnegative and finite, got {gamma0}")
 
 
 def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:

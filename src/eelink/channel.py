@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_finite
 from .special import gamma_fn, upper_incomplete_gamma
 
 LOG2_E = math.log2(math.e)
@@ -55,6 +55,7 @@ class SystemParams:
     path_loss: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.slot_duration <= 0.0:
             raise DomainError("slot_duration must be positive")
         if self.bandwidth <= 0.0:

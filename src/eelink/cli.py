@@ -3,10 +3,12 @@
 Subcommands: analyze, optimize, theta-threshold, invert, sweep, simulate.
 Configuration comes from built-in defaults (the reference link), an optional
 flat key = value config file, and command-line flags, in that precedence
-order. Power values accept explicit unit suffixes (43dBm, 0.1W); results are
-printed as labeled fields plus CSV, or written to --out.
+order. Power values accept explicit unit suffixes (43dBm, 0.1W). Results are
+CSV, a single row preceded on stdout by its labeled key = value fields; with
+--json they are one JSON document and nothing else. --out writes the CSV or
+JSON to a file instead of stdout.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
+Exit codes: 0 success, 2 configuration or domain error, 3 numerical failure,
 4 infeasible input.
 """
 
@@ -15,7 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from typing import Callable
 
 from .analysis import (
     METHOD_CLOSED,
@@ -46,16 +49,17 @@ from .sim import SimConfig, run as run_sim
 _LINK = default_params()
 _SEARCH = SearchSettings()
 
+
+def _key(field_name: str) -> str:
+    """The config key of a SystemParams or SearchSettings field."""
+    return "distance" if field_name == "distance_km" else field_name
+
+
 # Reference-link and search defaults in canonical units (W, W/Hz, seconds,
 # linear), taken from the library so the two cannot drift apart.
 _DEFAULTS: dict[str, float | int | None] = {
-    **{
-        f.name: getattr(_LINK, f.name)
-        for f in fields(SystemParams)
-        if f.name not in ("distance_km", "path_loss")
-    },
-    "distance": _LINK.distance_km,
-    "path_loss": None,
+    **{_key(f.name): getattr(_LINK, f.name) for f in fields(SystemParams)},
+    "path_loss": None,  # the reference link is fixed by its distance
     "theta": None,
     "dmax": None,
     **{f.name: getattr(_SEARCH, f.name) for f in fields(SearchSettings)},
@@ -66,35 +70,37 @@ _DEFAULTS: dict[str, float | int | None] = {
     "warmup": None,
 }
 
-_POWER_KEYS = {"tx_power", "circuit_power", "idle_power"}
-_INT_KEYS = {"max_iterations", "slots", "seed", "warmup"}
+
+def _scaled(to_canonical: Callable[[float], float]) -> Callable[[str], float]:
+    return lambda number: to_canonical(float(number))
+
+
+_POWER = (("dbm", _scaled(dbm_to_watt)), ("w", float))
+_INT = (("", int),)
+# Accepted unit suffixes per key, lower case, each with the parser of the
+# number before it (the empty suffix is a bare number). A key not listed
+# takes a bare float in canonical units.
+_UNITS: dict[str, tuple[tuple[str, Callable[[str], float | int]], ...]] = {
+    "noise_density": (("dbm/hz", _scaled(dbm_to_watt)), ("w/hz", float)),
+    "tx_power": _POWER,
+    "circuit_power": _POWER,
+    "idle_power": _POWER,
+    "path_loss": (("db", _scaled(db_to_linear)),),
+    "max_iterations": _INT,
+    "slots": _INT,
+    "seed": _INT,
+    "warmup": _INT,
+}
 
 
 def _parse_value(key: str, text: str) -> float | int:
-    """Parse one config value, honoring unit suffixes for power-like keys."""
-    raw = text.strip()
-    low = raw.lower().replace(" ", "")
+    """Parse one config value by the first unit suffix it ends with."""
+    low = text.strip().lower().replace(" ", "")
+    units = _UNITS.get(key, ()) + (("", float),)
+    suffix, parse = next(unit for unit in units if low.endswith(unit[0]))
     try:
-        if key in _POWER_KEYS:
-            if low.endswith("dbm"):
-                return dbm_to_watt(float(low[:-3]))
-            if low.endswith("w"):
-                return float(low[:-1])
-            return float(low)
-        if key == "noise_density":
-            if low.endswith("dbm/hz"):
-                return dbm_to_watt(float(low[:-6]))
-            if low.endswith("w/hz"):
-                return float(low[:-4])
-            return float(low)
-        if key == "path_loss":
-            if low.endswith("db"):
-                return db_to_linear(float(low[:-2]))
-            return float(low)
-        if key in _INT_KEYS:
-            return int(low)
-        return float(low)
-    except ValueError as exc:
+        return parse(low[: len(low) - len(suffix)])
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
 
 
@@ -119,88 +125,45 @@ def _read_config_file(path: str) -> dict[str, float | int]:
     return out
 
 
-@dataclass
-class RunConfig:
-    """Merged effective configuration."""
-
-    values: dict[str, float | int | None]
-
-    def get(self, key: str) -> float | int | None:
-        return self.values[key]
-
-    def require(self, key: str, flag: str) -> float:
-        value = self.values[key]
-        if value is None:
-            raise ConfigError(f"{flag} is required for this command")
-        return value
-
-    def system_params(self) -> SystemParams:
-        v = self.values
-        distance = v["distance"]
-        path_loss = v["path_loss"]
-        if path_loss is not None:
-            distance = None  # an explicit path loss replaces the distance
-        return SystemParams(
-            slot_duration=v["slot_duration"],
-            bandwidth=v["bandwidth"],
-            noise_density=v["noise_density"],
-            tx_power=v["tx_power"],
-            circuit_power=v["circuit_power"],
-            idle_power=v["idle_power"],
-            fading_m=v["fading_m"],
-            distance_km=distance,
-            path_loss=path_loss,
-        )
-
-    def search_settings(self) -> SearchSettings:
-        v = self.values
-        return SearchSettings(
-            epsilon=v["epsilon"],
-            gamma0_lower=v["gamma0_lower"],
-            gamma0_cap=v["gamma0_cap"],
-            max_iterations=int(v["max_iterations"]),
-        )
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# effective configuration (canonical units: W, W/Hz, s, linear)\n")
-            for key in _DEFAULTS:
-                value = self.values[key]
-                if value is None:
-                    continue
-                fh.write(f"{key} = {value!r}\n")
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, float | int | None] = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        if "path_loss" in file_values and "distance" in file_values:
-            raise ConfigError("supply only one of distance / path_loss")
-        values.update(file_values)
-        if "path_loss" in file_values:
-            values["distance"] = None
-    flagged = set()
-    for key in _DEFAULTS:
-        flag_value = getattr(args, f"opt_{key}", None)
-        if flag_value is not None:
-            values[key] = _parse_value(key, flag_value)
-            flagged.add(key)
-    # A geometry flag replaces whichever of the pair an earlier layer set.
-    if "path_loss" in flagged and "distance" in flagged:
+def _overlay(values: dict, layer: dict) -> None:
+    """Set the keys of one configuration layer over the values below it. The
+    link geometry is one choice: a layer's path loss replaces the distance
+    set below it, and its distance replaces the path loss."""
+    if "path_loss" in layer and "distance" in layer:
         raise ConfigError("supply only one of distance / path_loss")
-    if "path_loss" in flagged:
+    values.update(layer)
+    if "path_loss" in layer:
         values["distance"] = None
-    elif "distance" in flagged:
+    elif "distance" in layer:
         values["path_loss"] = None
-    return RunConfig(values=values)
 
 
-def _effective_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _merge_config(args)
-    if getattr(args, "dump_config", None):
-        cfg.dump(args.dump_config)
-    return cfg
+def _config(args: argparse.Namespace) -> dict[str, float | int | None]:
+    """The effective configuration: defaults, then the config file, then the
+    flags; written to --dump-config when given."""
+    values = dict(_DEFAULTS)
+    if args.config:
+        _overlay(values, _read_config_file(args.config))
+    flags = {key: getattr(args, f"opt_{key}") for key in _DEFAULTS}
+    _overlay(values, {k: _parse_value(k, v) for k, v in flags.items() if v is not None})
+    if args.dump_config:
+        with open(args.dump_config, "w", encoding="utf-8") as fh:
+            fh.write("# effective configuration (canonical units: W, W/Hz, s, linear)\n")
+            for key, value in values.items():
+                if value is not None:
+                    fh.write(f"{key} = {value!r}\n")
+    return values
+
+
+def _build(cls, cfg: dict):
+    """A SystemParams or SearchSettings from the configuration."""
+    return cls(**{f.name: cfg[_key(f.name)] for f in fields(cls)})
+
+
+def _require(cfg: dict, key: str) -> float:
+    if cfg[key] is None:
+        raise ConfigError(f"--{key} is required for this command")
+    return cfg[key]
 
 
 def _fmt(x) -> str:
@@ -210,36 +173,28 @@ def _fmt(x) -> str:
 
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
-    """Print labeled fields for a single row, then CSV; write --out if set."""
-    if len(rows) == 1:
-        for key, value in rows[0].items():
-            print(f"{key} = {_fmt(value)}")
-    header = ",".join(rows[0].keys())
-    csv_lines = [header] + [",".join(_fmt(v) for v in row.values()) for row in rows]
-    csv_text = "\n".join(csv_lines) + "\n"
-    if getattr(args, "json", False):
-        payload = json.dumps(rows[0] if len(rows) == 1 else rows, indent=2)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
-        return
+    """Write the rows to --out or stdout: as JSON with --json, else as CSV,
+    which a single row precedes on stdout with its labeled fields."""
+    if args.json:
+        text = json.dumps(rows[0] if len(rows) == 1 else rows, indent=2) + "\n"
+    else:
+        if len(rows) == 1:
+            for key, value in rows[0].items():
+                print(f"{key} = {_fmt(value)}")
+        lines = [",".join(rows[0])] + [",".join(_fmt(v) for v in row.values()) for row in rows]
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+            fh.write(text)
     else:
-        print(csv_text, end="")
+        print(text, end="")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    params = cfg.system_params()
-    qos = QosSpec(theta=cfg.require("theta", "--theta"), delay_bound=cfg.get("dmax"))
-    gamma0 = cfg.require("gamma0", "--gamma0")
+def _cmd_analyze(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
+    qos = QosSpec(theta=_require(cfg, "theta"), delay_bound=cfg["dmax"])
     method = METHOD_EXACT if args.exact else METHOD_CLOSED
-    result = analyze(params, qos, gamma0, method=method)
-    row = {
+    result = analyze(params, qos, _require(cfg, "gamma0"), method=method)
+    return [{
         "theta": qos.theta,
         "gamma0": result.gamma0,
         "effective_capacity_bps": result.effective_capacity,
@@ -250,17 +205,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "service_mgf": result.service_mgf,
         "ee_trend": result.ee_trend,
         "log_mgf": result.log_mgf,
-    }
-    _emit([row], args)
-    return 0
+    }]
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    params = cfg.system_params()
-    qos = QosSpec(theta=cfg.require("theta", "--theta"))
-    result = find_optimal_threshold(params, qos, cfg.search_settings())
-    row = {
+def _cmd_optimize(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
+    qos = QosSpec(theta=_require(cfg, "theta"))
+    result = find_optimal_threshold(params, qos, _build(SearchSettings, cfg))
+    return [{
         "theta": qos.theta,
         "regime": result.regime.value,
         "gamma0_opt": result.gamma0_opt,
@@ -269,34 +220,22 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "iterations": result.iterations,
         "bracket_lower": result.bracket[0],
         "bracket_upper": result.bracket[1],
-    }
-    _emit([row], args)
-    return 0
+    }]
 
 
-def _cmd_theta_threshold(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    params = cfg.system_params()
-    value = find_theta_threshold(
-        params, args.theta_lo, args.theta_hi, cfg.search_settings()
-    )
-    _emit([{"theta_thr": value}], args)
-    return 0
+def _cmd_theta_threshold(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
+    settings = _build(SearchSettings, cfg)
+    return [{"theta_thr": find_theta_threshold(params, args.theta_lo, args.theta_hi, settings)}]
 
 
-def _cmd_invert(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    params = cfg.system_params()
-    qos = QosSpec(theta=cfg.require("theta", "--theta"))
-    mu = cfg.require("mu", "--mu")
-    gamma0 = invert_effective_capacity(params, qos, mu, cfg.search_settings())
-    _emit([{"theta": qos.theta, "mu_bps": mu, "gamma0_bound": gamma0}], args)
-    return 0
+def _cmd_invert(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
+    qos = QosSpec(theta=_require(cfg, "theta"))
+    mu = _require(cfg, "mu")
+    gamma0 = invert_effective_capacity(params, qos, mu, _build(SearchSettings, cfg))
+    return [{"theta": qos.theta, "mu_bps": mu, "gamma0_bound": gamma0}]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    params = cfg.system_params()
+def _cmd_sweep(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
     try:
         thetas = [float(t) for t in args.theta_list.split(",") if t.strip()]
         lo, _, hi = args.gamma0_range.partition(":")
@@ -305,26 +244,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad sweep range: {exc}") from exc
     method = METHOD_EXACT if args.exact else METHOD_CLOSED
     rows = sweep(params, thetas, gamma0_range, args.quantity, args.steps, method=method)
-    table = [
+    return [
         {"theta": theta, "gamma0": gamma0, args.quantity: value}
         for theta, gamma0, value in rows
     ]
-    _emit(table, args)
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    params = cfg.system_params()
-    warmup = cfg.get("warmup")
+def _cmd_simulate(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
     sim = SimConfig(
         params=params,
-        arrival_rate=cfg.require("mu", "--mu"),
-        gamma0=cfg.require("gamma0", "--gamma0"),
-        num_slots=int(cfg.get("slots")),
-        seed=int(cfg.get("seed")),
-        delay_bound=cfg.get("dmax"),
-        warmup_slots=int(warmup) if warmup is not None else None,
+        arrival_rate=_require(cfg, "mu"),
+        gamma0=_require(cfg, "gamma0"),
+        num_slots=cfg["slots"],
+        seed=cfg["seed"],
+        delay_bound=cfg["dmax"],
+        warmup_slots=cfg["warmup"],
     )
     report = run_sim(sim)
     row = {
@@ -341,7 +275,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "max_queue_bits": report.max_queue,
         "mean_power_w": report.mean_power,
     }
-    theta = cfg.get("theta")
+    theta = cfg["theta"]
     if sim.delay_bound is not None and theta is not None:
         # Tail estimate alongside the direct measurement; the per-second
         # exponent for a constant-rate source at capacity is theta * mu.
@@ -349,8 +283,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         row["delay_outage_estimate"] = delay_outage_estimate(
             qos, report.p_b_hat, theta * sim.arrival_rate
         )
-    _emit([row], args)
-    return 0
+    return [row]
 
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
@@ -359,11 +292,11 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--paper-defaults",
         action="store_true",
-        help="pin the built-in reference-link parameters and epsilon = 1e-8 "
-        "(these are also the defaults; the flag refuses a config file)",
+        help="refuse a config file, so only the built-in defaults (the reference "
+        "link, epsilon = 1e-8) and the flags apply",
     )
     sub.add_argument("--out", help="write CSV (or JSON with --json) to this file")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+    sub.add_argument("--json", action="store_true", help="emit one JSON document and nothing else")
     sub.add_argument("--dump-config", help="write the effective configuration to this file")
     for key in _DEFAULTS:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}", metavar="V")
@@ -378,21 +311,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="analytics at one (theta, gamma0) point")
     p.add_argument("--exact", action="store_true", help="use quadrature instead of the closed form")
-    _add_common_options(p)
     p.set_defaults(fn=_cmd_analyze)
 
     p = subs.add_parser("optimize", help="EE-optimal threshold for one theta")
-    _add_common_options(p)
     p.set_defaults(fn=_cmd_optimize)
 
     p = subs.add_parser("theta-threshold", help="QoS-exponent regime boundary")
     p.add_argument("--theta-lo", type=float, default=1e-5)
     p.add_argument("--theta-hi", type=float, default=1e-2)
-    _add_common_options(p)
     p.set_defaults(fn=_cmd_theta_threshold)
 
     p = subs.add_parser("invert", help="largest threshold sustaining an arrival rate")
-    _add_common_options(p)
     p.set_defaults(fn=_cmd_invert)
 
     p = subs.add_parser("sweep", help="grid evaluation over theta and gamma0")
@@ -401,13 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--quantity", choices=["EE", "alpha", "G", "F"], required=True)
     p.add_argument("--exact", action="store_true")
-    _add_common_options(p)
     p.set_defaults(fn=_cmd_sweep)
 
     p = subs.add_parser("simulate", help="Monte Carlo run of the slotted queue")
-    _add_common_options(p)
     p.set_defaults(fn=_cmd_simulate)
 
+    for sub in subs.choices.values():
+        _add_common_options(sub)
     return parser
 
 
@@ -418,7 +347,9 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse exits on usage errors and --help
             return int(exc.code or 0)
-        return args.fn(args)
+        cfg = _config(args)
+        _emit(args.fn(args, cfg, _build(SystemParams, cfg)), args)
+        return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finiteness check every
+input dataclass applies."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -31,3 +34,15 @@ class QueueOverflowError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
+
+
+def _require_finite(obj) -> None:
+    """Raise DomainError if a float field of the dataclass obj is NaN or
+    infinite. NaN fails every comparison, so range checks alone let it in."""
+    # The class's field table: vars(obj) would give obj a real __dict__ and
+    # slow every later attribute read on it (the hot loops read params and
+    # qos), and dataclasses.fields allocates on every call.
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")

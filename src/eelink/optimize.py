@@ -20,13 +20,20 @@ import numpy as np
 from .analysis import (
     METHOD_CLOSED,
     QosSpec,
+    analyze,
     ee_trend,
     effective_capacity,
     energy_efficiency,
     service_mgf,
 )
 from .channel import SystemParams
-from .errors import BracketError, DomainError, InfeasibleRateError, PreconditionError
+from .errors import (
+    BracketError,
+    DomainError,
+    InfeasibleRateError,
+    PreconditionError,
+    _require_finite,
+)
 from .special import QuadratureSettings
 
 # Thresholds below this scale are operationally indistinguishable from no
@@ -52,6 +59,7 @@ class SearchSettings:
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.epsilon <= 0.0:
             raise DomainError("epsilon must be positive")
         if self.gamma0_lower < 0.0:
@@ -182,7 +190,7 @@ def invert_effective_capacity(
     arrival rate mu (bits/s). The capacity is strictly decreasing in the
     threshold, so bisection applies directly."""
     s = settings if settings is not None else SearchSettings()
-    if mu <= 0.0:
+    if not mu > 0.0:  # NaN included
         raise DomainError("mu must be positive")
     capacity_at_zero = effective_capacity(params, qos, 0.0, method)
     if mu > capacity_at_zero:
@@ -227,9 +235,13 @@ def sweep(
         if quantity == "alpha":
             return effective_capacity(params, qos, g, method, settings)
         if quantity == "G":
-            return ee_trend(params, qos, g)
+            # ee_trend is the closed form's trend; analyze pairs the exact
+            # service moment with the exact kernel.
+            if method == METHOD_CLOSED:
+                return ee_trend(params, qos, g)
+            return analyze(params, qos, g, method, settings).ee_trend
         if quantity == "F":
-            return service_mgf(params, qos, g, METHOD_CLOSED)
+            return service_mgf(params, qos, g, method, settings)
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")
 
     gammas = np.linspace(lo, hi, steps)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import METHOD_CLOSED, QosSpec, effective_capacity, mean_service_rate
 from .channel import SystemParams, derived_constants, sample_gains
-from .errors import DomainError, QueueOverflowError
+from .errors import DomainError, QueueOverflowError, _require_finite
 
 QUEUE_GUARD_BITS = 1e12
 # Slots per block of the simulator's pass: a run holds a few arrays of this
@@ -39,12 +39,15 @@ class SimConfig:
     warmup_slots: int | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.arrival_rate <= 0.0:
             raise DomainError("arrival_rate must be positive")
         if self.gamma0 < 0.0:
             raise DomainError("gamma0 must be nonnegative")
         if self.num_slots < 1:
             raise DomainError("num_slots must be at least 1")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.warmup_slots is not None and not 0 <= self.warmup_slots < self.num_slots:
             raise DomainError("warmup_slots must lie in [0, num_slots)")
 

@@ -31,6 +31,8 @@ MGF_AT_1 = 0.91687443628970887          # theta 1e-4, gamma0 1.0, by quadrature
 TREND_AT_025 = 0.14942636298342384
 TREND_AT_1 = -0.014368757787333229
 
+NONFINITE = (math.nan, math.inf, -math.inf)
+
 
 class TestEffectiveCapacity:
     def test_published_operating_point(self, params, qos_1e4):
@@ -112,6 +114,17 @@ class TestModesAndPower:
     def test_total_power_endpoints(self, params):
         assert total_power(params, 0.0) == pytest.approx(20.0526231496888, rel=1e-13)
         assert total_power(params, 40.0) == pytest.approx(params.circuit_power, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma0", NONFINITE)
+    def test_nonfinite_threshold_rejected(self, params, qos_1e4, gamma0):
+        for call in (
+            lambda: mode_probabilities(params, gamma0),
+            lambda: log_service_mgf(params, qos_1e4, gamma0, METHOD_EXACT),
+            lambda: analyze(params, qos_1e4, gamma0),
+            lambda: mean_service_rate(params, gamma0),
+        ):
+            with pytest.raises(DomainError, match="gamma0 must be nonnegative and finite"):
+                call()
 
     def test_equal_mode_powers_collapse(self, params):
         flat = dataclasses.replace(params, tx_power=2.0, idle_power=2.0)
@@ -307,3 +320,10 @@ class TestQosSpec:
             QosSpec(theta=-1e-4)
         with pytest.raises(DomainError):
             QosSpec(theta=1e-4, delay_bound=0.0)
+
+    @pytest.mark.parametrize("value", NONFINITE)
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            QosSpec(theta=value)
+        with pytest.raises(DomainError, match="delay_bound must be finite"):
+            QosSpec(theta=1e-4, delay_bound=value)

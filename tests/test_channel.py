@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,15 @@ class TestSystemParams:
                 fading_m=0.3,
                 distance_km=1.0,
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "slot_duration", "bandwidth", "noise_density", "tx_power", "circuit_power",
+        "idle_power", "fading_m", "distance_km", "path_loss",
+    ])
+    def test_nonfinite_field_rejected(self, params, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            dataclasses.replace(params, **{field: value})
 
 
 class TestDensity:

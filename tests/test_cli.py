@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,16 @@ from pathlib import Path
 import pytest
 
 import eelink
-from eelink.cli import main
+from eelink import (
+    OptimumResult,
+    Regime,
+    SearchSettings,
+    SystemParams,
+    db_to_linear,
+    dbm_to_watt,
+    default_params,
+)
+from eelink.cli import _DEFAULTS, main
 
 
 def fields(capsys):
@@ -59,9 +69,15 @@ class TestAnalyze:
 
     def test_json_output(self, capsys):
         assert main(["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--json"]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["gamma0"] == 0.5
+
+    def test_json_out_file(self, tmp_path, capsys):
+        out = tmp_path / "point.json"
+        argv = ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--json", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["gamma0"] == 0.5
 
 
 class TestOptimize:
@@ -152,6 +168,16 @@ class TestSweep:
         main(argv + ["--out", str(a)])
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_output(self, capsys):
+        assert main([
+            "sweep", "--theta-list", "1e-4,1e-5", "--gamma0-range", "0:1",
+            "--steps", "2", "--quantity", "EE", "--json",
+        ]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["theta"], r["gamma0"]) for r in rows] == [
+            (1e-4, 0.0), (1e-4, 1.0), (1e-5, 0.0), (1e-5, 1.0),
+        ]
 
     def test_trend_sign_regions(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -268,6 +294,125 @@ class TestConfigFile:
         cfg.write_text("theta = 1e-4\n")
         rc = main(["optimize", "--config", str(cfg), "--paper-defaults"])
         assert rc != 0
+
+
+# The config key of each SystemParams / SearchSettings field, and a
+# non-default value for it with the value the library must receive.
+SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
+SEARCH_FIELDS = {f.name for f in dataclasses.fields(SearchSettings)}
+NON_DEFAULT = {
+    "slot_duration": ("2e-3", 2e-3),
+    "bandwidth": ("360e3", 360e3),
+    "noise_density": ("2e-20", 2e-20),
+    "tx_power": ("5", 5.0),
+    "circuit_power": ("0.3", 0.3),
+    "idle_power": ("0.01", 0.01),
+    "fading_m": ("1.5", 1.5),
+    "distance": ("0.5", 0.5),
+    "path_loss": ("1e13", 1e13),
+    "epsilon": ("1e-6", 1e-6),
+    "gamma0_lower": ("0.25", 0.25),
+    "gamma0_cap": ("32", 32.0),
+    "max_iterations": ("50", 50),
+}
+
+
+def field_of(key):
+    return "distance_km" if key == "distance" else key
+
+
+LIBRARY_KEYS = [k for k in _DEFAULTS if field_of(k) in SYSTEM_FIELDS | SEARCH_FIELDS]
+
+
+@pytest.fixture
+def received(monkeypatch):
+    """The (params, settings) the optimize command hands the library."""
+    seen = {}
+
+    def fake(params, qos, settings):
+        seen.update(params=params, settings=settings)
+        return OptimumResult(Regime.GATED, 1.0, 1.0, 1.0, 0, (0.0, 1.0))
+
+    monkeypatch.setattr("eelink.cli.find_optimal_threshold", fake)
+    return seen
+
+
+def optimize_with(key, text, source, tmp_path):
+    """main() on optimize with one key set by flag or by config file."""
+    argv = ["optimize", "--theta", "1e-4"]
+    if source == "flag":
+        return main(argv + [f"--{key.replace('_', '-')}={text}"])
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    return main(argv + ["--config", str(cfg)])
+
+
+def delivered(seen, key):
+    field = field_of(key)
+    return getattr(seen["params"] if field in SYSTEM_FIELDS else seen["settings"], field)
+
+
+class TestKeysReachLibrary:
+    def test_every_field_key_is_covered(self):
+        assert set(LIBRARY_KEYS) == set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key", LIBRARY_KEYS)
+    def test_key_arrives(self, key, source, received, tmp_path):
+        text, expected = NON_DEFAULT[key]
+        assert optimize_with(key, text, source, tmp_path) == 0
+        value = delivered(received, key)
+        assert value == expected
+        defaults = {"params": default_params(), "settings": SearchSettings()}
+        assert value != delivered(defaults, key)
+        if key == "path_loss":
+            assert received["params"].distance_km is None
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key, text, expected", [
+        ("tx_power", "43 DBM", dbm_to_watt(43.0)),
+        ("tx_power", "5 w", 5.0),
+        ("circuit_power", "0.2W", 0.2),
+        ("idle_power", "10 dBm", dbm_to_watt(10.0)),
+        ("noise_density", "-170 DbM/hZ", dbm_to_watt(-170.0)),
+        ("noise_density", "2e-20 W / Hz", 2e-20),
+        ("path_loss", "125 dB", db_to_linear(125.0)),
+    ])
+    def test_unit_suffix(self, key, text, expected, source, received, tmp_path):
+        assert optimize_with(key, text, source, tmp_path) == 0
+        assert delivered(received, key) == expected
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key, text", [
+        ("tx_power", "3dB"),
+        ("tx_power", "4000dBm"),
+        ("noise_density", "-174dBm"),
+        ("circuit_power", "0.1W/Hz"),
+        ("path_loss", "128dBm"),
+        ("bandwidth", "180kHz"),
+        ("max_iterations", "1e3"),
+    ])
+    def test_wrong_suffix_is_fatal(self, key, text, source, received, tmp_path, capsys):
+        assert optimize_with(key, text, source, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--theta", "nan", "--gamma0", "0.5"],
+    ["sweep", "--theta-list", "nan", "--gamma0-range", "0:1", "--steps", "2", "--quantity", "EE"],
+    ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--bandwidth", "inf"],
+    ["simulate", "--mu", "300e3", "--gamma0", "1", "--slots", "100", "--seed", "-1"],
+    ["optimize", "--theta", "1e-4", "--epsilon", "nan"],
+    ["invert", "--theta", "1e-4", "--mu", "nan"],
+    ["simulate", "--mu", "300e3", "--gamma0", "nan", "--slots", "100"],
+    ["simulate", "--mu", "300e3", "--gamma0", "1", "--slots", "100", "--dmax", "nan"],
+    ["analyze", "--theta", "1e-4", "--gamma0", "nan"],
+], ids=" ".join)
+def test_nonfinite_input_is_a_domain_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain:")
+    assert "\n" not in err.strip()
 
 
 def test_import_loads_no_scipy():

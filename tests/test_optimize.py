@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eelink import (
+    METHOD_EXACT,
     BracketError,
     DomainError,
     InfeasibleRateError,
@@ -13,6 +15,7 @@ from eelink import (
     QosSpec,
     Regime,
     SearchSettings,
+    analyze,
     dbm_to_watt,
     default_params,
     derived_constants,
@@ -22,6 +25,7 @@ from eelink import (
     find_optimal_threshold,
     find_theta_threshold,
     invert_effective_capacity,
+    service_mgf,
     sweep,
 )
 
@@ -193,6 +197,10 @@ class TestInvertEffectiveCapacity:
             1.73, abs=0.01
         )
 
+    def test_nan_rate_rejected(self, params, qos_1e4):
+        with pytest.raises(DomainError, match="mu must be positive"):
+            invert_effective_capacity(params, qos_1e4, math.nan)
+
     def test_residual(self, params, qos_1e4):
         for mu in (1519.7e3, 300e3, 1e6):
             g = invert_effective_capacity(params, qos_1e4, mu)
@@ -253,6 +261,18 @@ class TestSweep:
         assert all(0.0 < v < 1.0 for v in values[1:])
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_exact_mgf_and_trend(self, params):
+        # The exact service moment at theta = 1e-4, gamma0 = 0 is 0.8104949;
+        # the closed form gives 0.8105049.
+        thetas = [1e-4, 1e-6]
+        mgf = sweep(params, thetas, (0.0, 2.0), "F", 5, method=METHOD_EXACT)
+        trend = sweep(params, thetas, (0.0, 2.0), "G", 5, method=METHOD_EXACT)
+        assert mgf[0][2] == pytest.approx(0.8104949, abs=1e-7)
+        for (theta, g, f), (_, _, G) in zip(mgf, trend):
+            qos = QosSpec(theta=theta)
+            assert f == service_mgf(params, qos, g, METHOD_EXACT)
+            assert G == analyze(params, qos, g, METHOD_EXACT).ee_trend
+
     def test_validation(self, params):
         with pytest.raises(DomainError):
             sweep(params, [], (0.0, 1.0), "EE", 10)
@@ -274,3 +294,9 @@ class TestSearchSettings:
             SearchSettings(gamma0_cap=0.0, gamma0_lower=1.0)
         with pytest.raises(DomainError):
             SearchSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["epsilon", "gamma0_lower", "gamma0_cap"])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            SearchSettings(**{field: value})

@@ -94,6 +94,15 @@ class TestRun:
             config(params, 1e5, 0.5, num_slots=0)
         with pytest.raises(DomainError):
             config(params, 1e5, 0.5, num_slots=100, warmup_slots=100)
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            config(params, 1e5, 0.5, seed=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["arrival_rate", "gamma0", "delay_bound"])
+    def test_nonfinite_rejected(self, params, field, value):
+        kw = {"arrival_rate": 1e5, "gamma0": 0.5, "delay_bound": 0.01, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            SimConfig(params=params, num_slots=100, seed=1, **kw)
 
 
 def whole_array_run(config):

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import SystemParams, cdf, derived_constants, pdf, tail_probability
 from .errors import DomainError, _require_finite
 from .special import QuadratureSettings, integrate, upper_incomplete_gamma
@@ -60,6 +58,13 @@ def _check_gamma0(gamma0: float) -> None:
         raise DomainError(f"gamma0 must be nonnegative and finite, got {gamma0}")
 
 
+def _logaddexp(x: float, y: float) -> float:
+    # log(e^x + e^y) by numpy.logaddexp's own formula, so it gives the same
+    # bits without loading numpy.
+    lo, hi = (x, y) if x < y else (y, x)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
 def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:
     # log E[exp(-theta s)] given p_idle = cdf(params, gamma0). Large mean SNR
     # replaces 1 + snr g by snr g on the transmit side, whose integral is then
@@ -80,7 +85,7 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
     )
     if p_idle == 0.0:
         return log_tail
-    return float(np.logaddexp(math.log(p_idle), log_tail))
+    return _logaddexp(math.log(p_idle), log_tail)
 
 
 def _log_mgf(
@@ -97,6 +102,8 @@ def _log_mgf(
         return _log_mgf_closed(params, theta, gamma0, p_idle)
     if method != METHOD_EXACT:
         raise DomainError(f"unknown method {method!r}; expected one of {_METHODS}")
+    import numpy as np
+
     c = derived_constants(params)
     a = c.exponent_rate * theta
 
@@ -253,6 +260,8 @@ def mean_service_rate(
     """E[s] / slot_duration in bits/s: the theta -> 0 limit of the effective
     capacity, by quadrature against the gain density."""
     _check_gamma0(gamma0)
+    import numpy as np
+
     c = derived_constants(params)
 
     def integrand(g: np.ndarray) -> np.ndarray:

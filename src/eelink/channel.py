@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, _require_finite
 from .special import gamma_fn, upper_incomplete_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LOG2_E = math.log2(math.e)
 
@@ -64,14 +66,23 @@ class SystemParams:
             raise DomainError("noise_density must be positive")
         if self.fading_m < 0.5:
             raise DomainError("fading_m must be at least 0.5")
+        if self.circuit_power < 0.0:
+            raise DomainError("circuit_power must be nonnegative")
         if self.idle_power < 0.0:
             raise DomainError("idle_power must be nonnegative")
+        if self.tx_power <= 0.0:
+            raise DomainError("tx_power must be positive")
         if self.tx_power < self.idle_power:
             raise DomainError("tx_power must not be below idle_power")
         if self.distance_km is None and self.path_loss is None:
             raise DomainError("supply exactly one of distance_km or path_loss")
         if self.distance_km is not None:
-            derived = db_to_linear(path_loss_db(self.distance_km))
+            try:
+                derived = db_to_linear(path_loss_db(self.distance_km))
+            except OverflowError:
+                raise DomainError(
+                    f"distance_km = {self.distance_km} puts the path loss past the float range"
+                ) from None
             # A matching pair is fine (it appears when dataclasses.replace
             # copies a params object whose path loss was derived here).
             if self.path_loss is None:
@@ -121,6 +132,8 @@ def default_params() -> SystemParams:
 def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
     """Density of the unit-mean channel power gain at the given point, or
     elementwise over an array of points (then an array comes back)."""
+    import numpy as np
+
     g = np.asarray(gain, dtype=float)
     if (g < 0.0).any():
         raise DomainError(f"gain must be nonnegative, got {g.min()}")

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .analysis import (
     METHOD_CLOSED,
     QosSpec,
@@ -244,10 +242,12 @@ def sweep(
             return service_mgf(params, qos, g, method, settings)
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")
 
-    gammas = np.linspace(lo, hi, steps)
+    # numpy.linspace's grid, point for point: i * step + lo, ending on hi.
+    step = (hi - lo) / (steps - 1)
+    gammas = [i * step + lo for i in range(steps - 1)] + [float(hi)]
     rows: list[tuple[float, float, float]] = []
     for theta in thetas:
         qos = QosSpec(theta=theta)
         for g in gammas:
-            rows.append((theta, float(g), value_at(qos, float(g))))
+            rows.append((theta, g, value_at(qos, g)))
     return rows

@@ -14,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import METHOD_CLOSED, QosSpec, effective_capacity, mean_service_rate
 from .channel import SystemParams, derived_constants, sample_gains
 from .errors import DomainError, QueueOverflowError, _require_finite
@@ -103,6 +101,8 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     Raises QueueOverflowError at the first slot whose backlog passes the
     stability guard.
     """
+    import numpy as np
+
     p = config.params
     rng = np.random.default_rng(config.seed)
     snr = derived_constants(p).mean_snr

@@ -9,20 +9,24 @@ in (0, 1] where the standard series / continued-fraction split applies.
 `integrate` is the double-exponential rule of Takahasi & Mori (Publ. RIMS 9,
 1974; Mori & Sugihara, J. Comput. Appl. Math. 127, 2001): exp-sinh on
 [lo, inf) and tanh-sinh on [lo, hi], with the step halved until two
-successive sums agree. Its node and weight tables are built once, at import,
-and the integrand is evaluated on a whole level of nodes at a time. All
-functions are pure and safe to call concurrently.
+successive sums agree. Its node and weight tables are built once, on first
+use, and the integrand is evaluated on a whole level of nodes at a time.
+Only the quadrature needs numpy, which it imports when first called, so the
+gamma functions run without it. All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, PoleError, QuadratureError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EULER = 0.5772156649015329
 _TERM_EPS = 1e-15          # series / continued-fraction termination
@@ -174,7 +178,10 @@ _DE_T = 4.5
 _DE_H0 = 1.0 / 16.0
 
 
+@functools.cache
 def _de_tables() -> list[tuple]:
+    import numpy as np
+
     tables = []
     for level in range(_DE_LEVELS + 1):
         h = _DE_H0 / 2**level
@@ -191,9 +198,6 @@ def _de_tables() -> list[tuple]:
         tanh_w = h * du / np.cosh(u) ** 2
         tables.append((exp_x, exp_w, dist, t > 0.0, tanh_w))
     return tables
-
-
-_DE_TABLES = _de_tables()
 
 
 def integrate(
@@ -215,12 +219,14 @@ def integrate(
     Raises QuadratureError on a non-finite sum, or when max_subdivisions
     halvings (or the tables' depth, 5) run out first.
     """
+    import numpy as np
+
     s = settings if settings is not None else QuadratureSettings()
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     half = 0.5 * (hi - lo)
     total = 0.0
-    for level, (exp_x, exp_w, dist, right, tanh_w) in enumerate(_DE_TABLES):
+    for level, (exp_x, exp_w, dist, right, tanh_w) in enumerate(_de_tables()):
         if hi == math.inf:
             part = np.dot(f(lo + exp_x), exp_w)
         else:

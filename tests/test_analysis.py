@@ -10,6 +10,7 @@ from eelink import (
     DomainError,
     QosSpec,
     analyze,
+    cdf,
     delay_outage_estimate,
     derived_constants,
     ee_trend,
@@ -21,7 +22,9 @@ from eelink import (
     mode_probabilities,
     service_mgf,
     total_power,
+    upper_incomplete_gamma,
 )
+from eelink.analysis import _logaddexp
 
 # Values frozen from 40-digit evaluation of the closed forms.
 ALPHA_REF = 1519677.5422946024          # theta 1e-4, gamma0 0.5323
@@ -191,6 +194,25 @@ class TestServiceMgf:
                     expected = float(mpmath.log(p_idle + tail))
                     got = log_service_mgf(link, qos, g)
                     assert abs(got - expected) <= 1e-9 * abs(expected) + 1e-15, (m, theta, g)
+
+    def test_closed_form_sum_matches_numpy(self, params):
+        # The closed form adds p_idle and the tail in log space without
+        # numpy; it must give numpy.logaddexp's bits.
+        c = derived_constants(params)
+        for theta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 5e-3):
+            a = c.exponent_rate * theta
+            for g in np.linspace(0.0, 20.0, 81).tolist():
+                log_tail = (
+                    a * (math.log(c.mean_snr) - math.log(2.0))
+                    + math.log(upper_incomplete_gamma(2.0 + a, 2.0 * g))
+                    - math.lgamma(2.0)
+                )
+                p_idle = cdf(params, g)
+                expected = float(np.logaddexp(math.log(p_idle), log_tail)) if p_idle else log_tail
+                assert log_service_mgf(params, QosSpec(theta=theta), g) == expected, (theta, g)
+        for x in (-745.0, -3.25, 0.0, 1e-300, 7.5):
+            assert _logaddexp(x, x) == float(np.logaddexp(x, x))
+            assert _logaddexp(x, x + 1e-9) == float(np.logaddexp(x + 1e-9, x))
 
     def test_exact_matches_mpmath(self, params):
         # 20-digit quadrature of 1 - F = E[1 - (1 + snr g)^a; g >= gamma0],

@@ -94,6 +94,25 @@ class TestSystemParams:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             dataclasses.replace(params, **{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tx_power", 0.0, "tx_power must be positive"),
+        ("tx_power", -1.0, "tx_power must be positive"),
+        ("circuit_power", -30.0, "circuit_power must be nonnegative"),
+        ("circuit_power", -1e-300, "circuit_power must be nonnegative"),
+    ])
+    def test_power_sign_rejected(self, params, field, value, message):
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(params, **{field: value})
+
+    def test_zero_circuit_power_accepted(self, params):
+        assert dataclasses.replace(params, circuit_power=0.0).circuit_power == 0.0
+
+    @pytest.mark.parametrize("distance_km", [1e100, 1e300])
+    def test_overflowing_path_loss_rejected(self, params, distance_km):
+        # 128.1 + 37.6 log10(d) dB passes 10^308 from about d = 1.9e78 km.
+        with pytest.raises(DomainError, match="path loss past the float range"):
+            dataclasses.replace(params, distance_km=distance_km, path_loss=None)
+
 
 class TestDensity:
     def test_values_m2(self, params):

@@ -382,6 +382,15 @@ class TestKeysReachLibrary:
         assert optimize_with(key, text, source, tmp_path) == 0
         assert delivered(received, key) == expected
 
+    def test_negative_value_joined_with_equals(self, received, capsys):
+        # After a space, argparse takes a value that starts with "-" and is
+        # not a plain number for an option; joined with "=" it is a value.
+        argv = ["optimize", "--theta", "1e-4"]
+        assert main(argv + ["--noise-density=-170dBm/Hz"]) == 0
+        assert received["params"].noise_density == dbm_to_watt(-170.0)
+        assert main(argv + ["--noise-density", "-170dBm/Hz"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("key, text", [
         ("tx_power", "3dB"),
@@ -407,6 +416,10 @@ class TestKeysReachLibrary:
     ["simulate", "--mu", "300e3", "--gamma0", "nan", "--slots", "100"],
     ["simulate", "--mu", "300e3", "--gamma0", "1", "--slots", "100", "--dmax", "nan"],
     ["analyze", "--theta", "1e-4", "--gamma0", "nan"],
+    # finite link values outside the domain
+    ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--tx-power", "0"],
+    ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--circuit-power", "-30"],
+    ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--distance", "1e100"],
 ], ids=" ".join)
 def test_nonfinite_input_is_a_domain_error(argv, capsys):
     assert main(argv) == 2
@@ -415,13 +428,42 @@ def test_nonfinite_input_is_a_domain_error(argv, capsys):
     assert "\n" not in err.strip()
 
 
-def test_import_loads_no_scipy():
-    # Every CLI call pays for what `import eelink.cli` loads; scipy alone
-    # used to be most of it.
+def fresh_heavy_modules(argv):
+    """Exit code of main(argv) in a fresh interpreter (0 for an empty argv,
+    which only imports eelink.cli), and which of numpy and scipy it loaded."""
     src = str(Path(eelink.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, eelink.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code = (
+        "import contextlib, io, json, sys, eelink.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = eelink.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "top = {m.partition('.')[0] for m in sys.modules}\n"
+        "print(json.dumps([rc, sorted(top & {'numpy', 'scipy'})]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_scipy():
+    # Every CLI call pays for what `import eelink.cli` loads; scipy, and then
+    # numpy, used to be most of it.
+    assert fresh_heavy_modules([]) == [0, []]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--theta", "1e-4", "--gamma0", "0.5323"],
+    ["optimize", "--theta", "1e-4"],
+    ["theta-threshold"],
+    ["invert", "--theta", "1e-4", "--mu", "300e3"],
+    ["sweep", "--theta-list", "1e-4,1e-5", "--gamma0-range", "0:3", "--steps", "40",
+     "--quantity", "EE"],
+], ids=lambda argv: argv[0])
+def test_closed_form_call_loads_no_numpy(argv):
+    assert fresh_heavy_modules(argv) == [0, []]
+
+
+def test_exact_call_loads_numpy():
+    argv = ["analyze", "--exact", "--theta", "1e-4", "--gamma0", "1.0"]
+    assert fresh_heavy_modules(argv) == [0, ["numpy"]]

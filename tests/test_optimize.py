@@ -255,6 +255,11 @@ class TestSweep:
             (1e-5, 1.0),
         ]
 
+    @pytest.mark.parametrize("lo, hi, steps", [(0, 3, 40), (0, 3, 30), (0.1, 2.7, 17), (0, 1, 2)])
+    def test_grid_is_linspace(self, params, lo, hi, steps):
+        rows = sweep(params, [1e-4], (lo, hi), "F", steps)
+        assert [g for _, g, _ in rows] == np.linspace(lo, hi, steps).tolist()
+
     def test_mgf_quantity(self, params):
         rows = sweep(params, [1e-4], (0.0, 2.0), "F", 21)
         values = [v for _, _, v in rows]

@@ -11,7 +11,6 @@ from eelink import (
     QosSpec,
     cdf,
     default_params,
-    derived_constants,
     dbm_to_watt,
     effective_capacity,
     energy_efficiency,
@@ -22,13 +21,12 @@ from eelink import (
 )
 
 params = default_params()
-consts = derived_constants(params)
 
 print("Reference link")
 print(f"  tx power          {params.tx_power:.4f} W  (= {dbm_to_watt(43.0):.4f} W from 43 dBm)")
 print(f"  path loss         {path_loss_db(1.0):.1f} dB at 1 km -> {params.path_loss:.4e} linear")
-print(f"  mean SNR          {consts.mean_snr:.1f}")
-print(f"  exponent rate     {consts.exponent_rate:.4f} (per unit QoS exponent)")
+print(f"  mean SNR          {params.mean_snr:.1f}")
+print(f"  exponent rate     {params.exponent_rate:.4f} (per unit QoS exponent)")
 
 print("\nChannel gain distribution (m = 2), model vs 1e6 draws")
 rng = np.random.default_rng(0)

@@ -18,13 +18,11 @@ from .analysis import (
     total_power,
 )
 from .channel import (
-    DerivedConstants,
     SystemParams,
     cdf,
     db_to_linear,
     dbm_to_watt,
     default_params,
-    derived_constants,
     path_loss_db,
     pdf,
     sample_gain,

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import SystemParams, cdf, derived_constants, pdf, tail_probability
+from .channel import SystemParams, cdf, pdf, tail_probability
 from .errors import DomainError, _require_finite
-from .special import QuadratureSettings, integrate, upper_incomplete_gamma
+from .special import integrate, upper_incomplete_gamma
 
 METHOD_EXACT = "exact_quadrature"
 METHOD_CLOSED = "closed_form"
@@ -72,14 +72,13 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
     # kept in log space: the mean SNR is of order 10^3 and direct powers lose
     # precision.
     m = params.fading_m
-    c = derived_constants(params)
-    a = c.exponent_rate * theta
+    a = params.exponent_rate * theta
     if gamma0 == 0.0 and m + a <= 0.0:
         raise DomainError(
-            f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-m / c.exponent_rate:.4e}"
+            f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-m / params.exponent_rate:.4e}"
         )
     log_tail = (
-        a * (math.log(c.mean_snr) - math.log(m))
+        a * (math.log(params.mean_snr) - math.log(m))
         + math.log(upper_incomplete_gamma(m + a, m * gamma0))
         - math.lgamma(m)
     )
@@ -89,12 +88,7 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
 
 
 def _log_mgf(
-    params: SystemParams,
-    theta: float,
-    gamma0: float,
-    p_idle: float,
-    method: str,
-    settings: QuadratureSettings | None,
+    params: SystemParams, theta: float, gamma0: float, p_idle: float, method: str
 ) -> float:
     # log E[exp(-theta s)] by the given method, with p_idle = cdf(params,
     # gamma0); the exact route integrates the true kernel over the tail.
@@ -104,58 +98,46 @@ def _log_mgf(
         raise DomainError(f"unknown method {method!r}; expected one of {_METHODS}")
     import numpy as np
 
-    c = derived_constants(params)
-    a = c.exponent_rate * theta
+    a = params.exponent_rate * theta
+    snr = params.mean_snr
 
     # 1 - F, integrated as such: F = 1 - (1 - F) keeps full relative
     # accuracy in log F however small theta makes 1 - F.
     def deficit(g: np.ndarray) -> np.ndarray:
-        return -np.expm1(a * np.log1p(c.mean_snr * g)) * pdf(params, g)
+        return -np.expm1(a * np.log1p(snr * g)) * pdf(params, g)
 
-    one_minus_f = integrate(deficit, gamma0, math.inf, settings)
+    one_minus_f = integrate(deficit, gamma0, math.inf)
     if one_minus_f <= 0.5:
         return math.log1p(-one_minus_f)
 
     # F is small here, so integrate it directly rather than as 1 - (1 - F).
     def kernel(g: np.ndarray) -> np.ndarray:
-        return np.exp(a * np.log1p(c.mean_snr * g)) * pdf(params, g)
+        return np.exp(a * np.log1p(snr * g)) * pdf(params, g)
 
-    return math.log(p_idle + integrate(kernel, gamma0, math.inf, settings))
+    return math.log(p_idle + integrate(kernel, gamma0, math.inf))
 
 
 def log_service_mgf(
-    params: SystemParams,
-    qos: QosSpec,
-    gamma0: float,
-    method: str = METHOD_CLOSED,
-    settings: QuadratureSettings | None = None,
+    params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Natural log of the per-slot service decay moment E[exp(-theta s)]."""
     _check_gamma0(gamma0)
-    return _log_mgf(params, qos.theta, gamma0, cdf(params, gamma0), method, settings)
+    return _log_mgf(params, qos.theta, gamma0, cdf(params, gamma0), method)
 
 
 def service_mgf(
-    params: SystemParams,
-    qos: QosSpec,
-    gamma0: float,
-    method: str = METHOD_CLOSED,
-    settings: QuadratureSettings | None = None,
+    params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """E[exp(-theta s)], in (0, 1) for any positive theta and threshold."""
-    return math.exp(log_service_mgf(params, qos, gamma0, method, settings))
+    return math.exp(log_service_mgf(params, qos, gamma0, method))
 
 
 def effective_capacity(
-    params: SystemParams,
-    qos: QosSpec,
-    gamma0: float,
-    method: str = METHOD_CLOSED,
-    settings: QuadratureSettings | None = None,
+    params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Largest sustainable constant arrival rate in bits/s under the QoS
     exponent, for the service gated at the given threshold."""
-    log_mgf = log_service_mgf(params, qos, gamma0, method, settings)
+    log_mgf = log_service_mgf(params, qos, gamma0, method)
     return -log_mgf / (qos.theta * params.slot_duration)
 
 
@@ -178,15 +160,10 @@ def total_power(params: SystemParams, gamma0: float) -> float:
 
 
 def energy_efficiency(
-    params: SystemParams,
-    qos: QosSpec,
-    gamma0: float,
-    method: str = METHOD_CLOSED,
-    settings: QuadratureSettings | None = None,
+    params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Effective capacity per consumed watt, bits/Joule."""
-    alpha = effective_capacity(params, qos, gamma0, method, settings)
-    return alpha / total_power(params, gamma0)
+    return analyze(params, qos, gamma0, method).ee
 
 
 def ee_trend(params: SystemParams, qos: QosSpec, gamma0: float) -> float:
@@ -206,10 +183,9 @@ def _trend(
 ) -> float:
     # ee_trend's formula, given the log-MGF and the total power at gamma0, so
     # analyze can reuse the values it already has.
-    c = derived_constants(params)
-    a = c.exponent_rate * theta
+    a = params.exponent_rate * theta
     swing = params.tx_power - params.idle_power
-    kernel = (1.0 + c.mean_snr * gamma0) ** a
+    kernel = (1.0 + params.mean_snr * gamma0) ** a
     return -swing * log_mgf * math.exp(log_mgf) - (1.0 - kernel) * power
 
 
@@ -228,16 +204,17 @@ def delay_outage_estimate(qos: QosSpec, p_buffer_nonempty: float, theta_seconds:
 
 
 def analyze(
-    params: SystemParams,
-    qos: QosSpec,
-    gamma0: float,
-    method: str = METHOD_CLOSED,
-    settings: QuadratureSettings | None = None,
+    params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> AnalysisResult:
     """Bundle every per-point quantity into one result."""
     p_tr, p_idle = mode_probabilities(params, gamma0)
     power = _power(params, p_tr, p_idle)
-    log_mgf = _log_mgf(params, qos.theta, gamma0, p_idle, method, settings)
+    if power == 0.0:
+        raise DomainError(
+            f"total power is 0 W at gamma0 = {gamma0}: no circuit or idle power, and "
+            "the transmit probability underflows, so the energy efficiency is undefined"
+        )
+    log_mgf = _log_mgf(params, qos.theta, gamma0, p_idle, method)
     alpha = -log_mgf / (qos.theta * params.slot_duration)
     return AnalysisResult(
         gamma0=gamma0,
@@ -252,19 +229,15 @@ def analyze(
     )
 
 
-def mean_service_rate(
-    params: SystemParams,
-    gamma0: float,
-    settings: QuadratureSettings | None = None,
-) -> float:
+def mean_service_rate(params: SystemParams, gamma0: float) -> float:
     """E[s] / slot_duration in bits/s: the theta -> 0 limit of the effective
     capacity, by quadrature against the gain density."""
     _check_gamma0(gamma0)
     import numpy as np
 
-    c = derived_constants(params)
+    snr = params.mean_snr
 
     def integrand(g: np.ndarray) -> np.ndarray:
-        return params.bandwidth * np.log2(1.0 + c.mean_snr * g) * pdf(params, g)
+        return params.bandwidth * np.log2(1.0 + snr * g) * pdf(params, g)
 
-    return integrate(integrand, gamma0, math.inf, settings)
+    return integrate(integrand, gamma0, math.inf)

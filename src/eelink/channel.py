@@ -64,8 +64,10 @@ class SystemParams:
             raise DomainError("bandwidth must be positive")
         if self.noise_density <= 0.0:
             raise DomainError("noise_density must be positive")
-        if self.fading_m < 0.5:
-            raise DomainError("fading_m must be at least 0.5")
+        if not 0.5 <= self.fading_m <= 171.0:
+            raise DomainError(
+                "fading_m must lie in [0.5, 171]; above 171 Gamma(m) passes the float range"
+            )
         if self.circuit_power < 0.0:
             raise DomainError("circuit_power must be nonnegative")
         if self.idle_power < 0.0:
@@ -92,26 +94,17 @@ class SystemParams:
         if self.path_loss < 1.0:
             raise DomainError("path_loss must be at least 1 (linear ratio)")
 
+    @property
+    def exponent_rate(self) -> float:
+        """-slot_duration * bandwidth * log2(e): multiplied by the QoS
+        exponent, the SNR power-law exponent of the per-slot service decay
+        factor."""
+        return -self.slot_duration * self.bandwidth * LOG2_E
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants the capacity formulas reuse.
-
-    exponent_rate is -slot_duration * bandwidth * log2(e): multiplied by the
-    QoS exponent it is the SNR power-law exponent of the per-slot service
-    decay factor. mean_snr is the average received SNR (the gain has unit
-    mean).
-    """
-
-    exponent_rate: float
-    mean_snr: float
-
-
-def derived_constants(params: SystemParams) -> DerivedConstants:
-    return DerivedConstants(
-        exponent_rate=-params.slot_duration * params.bandwidth * LOG2_E,
-        mean_snr=params.tx_power / (params.path_loss * params.noise_density * params.bandwidth),
-    )
+    @property
+    def mean_snr(self) -> float:
+        """Average received SNR (the gain has unit mean)."""
+        return self.tx_power / (self.path_loss * self.noise_density * self.bandwidth)
 
 
 def default_params() -> SystemParams:

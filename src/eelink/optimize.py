@@ -32,7 +32,6 @@ from .errors import (
     PreconditionError,
     _require_finite,
 )
-from .special import QuadratureSettings
 
 # Thresholds below this scale are operationally indistinguishable from no
 # gating: for reference-class links the EE gain over a zero threshold is a
@@ -115,17 +114,14 @@ def _grow_bracket(
 
 
 def find_optimal_threshold(
-    params: SystemParams,
-    qos: QosSpec,
-    settings: SearchSettings | None = None,
-    resolution: float = GATING_RESOLUTION,
+    params: SystemParams, qos: QosSpec, settings: SearchSettings | None = None
 ) -> OptimumResult:
     """EE-optimal gating threshold by bisection on the trend indicator.
 
     The upper bracket is grown geometrically from 1 until the indicator is
     negative; the bracket is then halved, moving the upper end whenever the
-    midpoint indicator is negative or zero. Roots below `resolution` are
-    reported as the ungated regime with a zero threshold.
+    midpoint indicator is negative or zero. Roots below GATING_RESOLUTION
+    are reported as the ungated regime with a zero threshold.
     """
     s = settings if settings is not None else SearchSettings()
     ee_baseline = energy_efficiency(params, qos, 0.0, METHOD_CLOSED)
@@ -140,18 +136,14 @@ def find_optimal_threshold(
     lower, upper, iterations = _bisect(rising, *bracket, s.epsilon, s.max_iterations)
     mid = 0.5 * (lower + upper)
 
-    if mid < resolution:
+    if mid < GATING_RESOLUTION:
         return OptimumResult(Regime.UNGATED, 0.0, ee_baseline, ee_baseline, iterations, bracket)
     ee_opt = energy_efficiency(params, qos, mid, METHOD_CLOSED)
     return OptimumResult(Regime.GATED, mid, ee_opt, ee_baseline, iterations, bracket)
 
 
 def find_theta_threshold(
-    params: SystemParams,
-    theta_lo: float,
-    theta_hi: float,
-    settings: SearchSettings | None = None,
-    resolution: float = GATING_RESOLUTION,
+    params: SystemParams, theta_lo: float, theta_hi: float, settings: SearchSettings | None = None
 ) -> float:
     """QoS-exponent boundary between the gated and ungated regimes.
 
@@ -165,7 +157,7 @@ def find_theta_threshold(
         raise DomainError("need 0 < theta_lo < theta_hi")
 
     def gated(log_theta: float) -> bool:
-        return ee_trend(params, QosSpec(theta=math.exp(log_theta)), resolution) > 0.0
+        return ee_trend(params, QosSpec(theta=math.exp(log_theta)), GATING_RESOLUTION) > 0.0
 
     lo, hi = math.log(theta_lo), math.log(theta_hi)
     if not gated(lo):
@@ -212,7 +204,6 @@ def sweep(
     quantity: str,
     steps: int,
     method: str = METHOD_CLOSED,
-    settings: QuadratureSettings | None = None,
 ) -> list[tuple[float, float, float]]:
     """Dense (theta, gamma0, value) grid, row-major with theta outermost.
 
@@ -229,17 +220,17 @@ def sweep(
 
     def value_at(qos: QosSpec, g: float) -> float:
         if quantity == "EE":
-            return energy_efficiency(params, qos, g, method, settings)
+            return energy_efficiency(params, qos, g, method)
         if quantity == "alpha":
-            return effective_capacity(params, qos, g, method, settings)
+            return effective_capacity(params, qos, g, method)
         if quantity == "G":
             # ee_trend is the closed form's trend; analyze pairs the exact
             # service moment with the exact kernel.
             if method == METHOD_CLOSED:
                 return ee_trend(params, qos, g)
-            return analyze(params, qos, g, method, settings).ee_trend
+            return analyze(params, qos, g, method).ee_trend
         if quantity == "F":
-            return service_mgf(params, qos, g, method, settings)
+            return service_mgf(params, qos, g, method)
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")
 
     # numpy.linspace's grid, point for point: i * step + lo, ending on hi.

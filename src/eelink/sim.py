@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .analysis import METHOD_CLOSED, QosSpec, effective_capacity, mean_service_rate
-from .channel import SystemParams, derived_constants, sample_gains
+from .channel import SystemParams, sample_gains
 from .errors import DomainError, QueueOverflowError, _require_finite
 
 QUEUE_GUARD_BITS = 1e12
@@ -105,7 +105,7 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
 
     p = config.params
     rng = np.random.default_rng(config.seed)
-    snr = derived_constants(p).mean_snr
+    snr = p.mean_snr
     rate_scale = p.slot_duration * p.bandwidth
     arrival = config.arrival_rate * p.slot_duration
     warmup = config.resolved_warmup()
@@ -175,6 +175,11 @@ def run(config: SimConfig) -> SimReport:
     # Power from mode counts: the per-slot power is two-valued, so this mean
     # is exact (and exactly circuit + tx power when gamma0 = 0).
     mean_power = p.circuit_power + p.tx_power * p_tr_hat + p.idle_power * p_idle_hat
+    if mean_power == 0.0:
+        raise DomainError(
+            "mean power is 0 W: no circuit or idle power, and no slot transmitted, "
+            "so the energy efficiency is undefined"
+        )
     return SimReport(
         empirical_ee=config.arrival_rate / mean_power,
         p_tr_hat=p_tr_hat,

@@ -12,7 +12,6 @@ from eelink import (
     analyze,
     cdf,
     delay_outage_estimate,
-    derived_constants,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -24,6 +23,7 @@ from eelink import (
     total_power,
     upper_incomplete_gamma,
 )
+from eelink import analysis, channel
 from eelink.analysis import _logaddexp
 
 # Values frozen from 40-digit evaluation of the closed forms.
@@ -92,8 +92,7 @@ class TestEffectiveCapacity:
             effective_capacity(params, qos_1e4, 0.5, "closed_form_m2")
 
     def test_closed_form_domain_edge_at_zero(self, params):
-        c = derived_constants(params)
-        too_strict = QosSpec(theta=-2.2 / c.exponent_rate)
+        too_strict = QosSpec(theta=-2.2 / params.exponent_rate)
         with pytest.raises(DomainError):
             effective_capacity(params, too_strict, 0.0, METHOD_CLOSED)
         # Away from zero the incomplete gamma handles the negative order.
@@ -157,12 +156,47 @@ class TestEnergyEfficiency:
             params.circuit_power + params.tx_power
         )
 
+    def test_is_analyze_ee(self, params):
+        # Bit for bit, closed form on the full grid and quadrature on a
+        # coarser one.
+        for theta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 5e-3):
+            qos = QosSpec(theta=theta)
+            for g in np.linspace(0.0, 20.0, 81).tolist():
+                assert energy_efficiency(params, qos, g) == analyze(params, qos, g).ee, (theta, g)
+        for theta in (1e-7, 1e-4, 5e-3):
+            qos = QosSpec(theta=theta)
+            for g in (0.0, 0.5, 4.0, 20.0):
+                expected = analyze(params, qos, g, METHOD_EXACT).ee
+                assert energy_efficiency(params, qos, g, METHOD_EXACT) == expected, (theta, g)
+
+    def test_closed_form_makes_two_incomplete_gamma_calls(self, params, qos_1e4, monkeypatch):
+        # One for the tail probability, shared by the idle mass and the
+        # power, and one for the service moment.
+        calls = []
+
+        def counted(v, z):
+            calls.append((v, z))
+            return upper_incomplete_gamma(v, z)
+
+        monkeypatch.setattr(analysis, "upper_incomplete_gamma", counted)
+        monkeypatch.setattr(channel, "upper_incomplete_gamma", counted)
+        assert energy_efficiency(params, qos_1e4, 0.5323) == pytest.approx(EE_REF, rel=1e-10)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
+    def test_zero_total_power_is_a_domain_error(self, params, method):
+        # No circuit or idle power, and a threshold so high that the
+        # transmit probability underflows to 0.
+        link = dataclasses.replace(params, circuit_power=0.0)
+        assert total_power(link, 400.0) == 0.0
+        with pytest.raises(DomainError, match="total power is 0 W"):
+            analyze(link, QosSpec(theta=1e-4), 400.0, method)
+
 
 class TestServiceMgf:
     def test_zero_threshold_boundary_value(self, params, qos_1e4):
-        c = derived_constants(params)
-        a = c.exponent_rate * qos_1e4.theta
-        expected = math.exp(a * math.log(c.mean_snr / 2.0)) * gamma_fn(2.0 + a)
+        a = params.exponent_rate * qos_1e4.theta
+        expected = math.exp(a * math.log(params.mean_snr / 2.0)) * gamma_fn(2.0 + a)
         assert service_mgf(params, qos_1e4, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_tends_to_one(self, params, qos_1e4):
@@ -178,12 +212,12 @@ class TestServiceMgf:
         # gating, where p_idle sits next to 1.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        snr = mpmath.mpf(derived_constants(params).mean_snr)
+        snr = mpmath.mpf(params.mean_snr)
         for m in (0.5, 1.0, 1.5, 3.0, 5.5):
             link = dataclasses.replace(params, fading_m=m)
             for theta in (1e-6, 1e-4, 1e-3, 5e-3):
                 qos = QosSpec(theta=theta)
-                a = mpmath.mpf(derived_constants(link).exponent_rate) * theta
+                a = mpmath.mpf(link.exponent_rate) * theta
                 for g in (0.0, 0.05, 0.5, 1.5, 4.0):
                     if g == 0.0 and m + a <= 0:
                         with pytest.raises(DomainError):
@@ -198,12 +232,11 @@ class TestServiceMgf:
     def test_closed_form_sum_matches_numpy(self, params):
         # The closed form adds p_idle and the tail in log space without
         # numpy; it must give numpy.logaddexp's bits.
-        c = derived_constants(params)
         for theta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 5e-3):
-            a = c.exponent_rate * theta
+            a = params.exponent_rate * theta
             for g in np.linspace(0.0, 20.0, 81).tolist():
                 log_tail = (
-                    a * (math.log(c.mean_snr) - math.log(2.0))
+                    a * (math.log(params.mean_snr) - math.log(2.0))
                     + math.log(upper_incomplete_gamma(2.0 + a, 2.0 * g))
                     - math.lgamma(2.0)
                 )
@@ -223,11 +256,10 @@ class TestServiceMgf:
         with mpmath.workdps(20):
             for m in (0.5, 1.0, 1.5, 2.0, 3.0, 5.5):
                 link = dataclasses.replace(params, fading_m=m)
-                c = derived_constants(link)
-                snr = mpmath.mpf(c.mean_snr)
+                snr = mpmath.mpf(link.mean_snr)
                 log_norm = m * mpmath.log(m) - mpmath.loggamma(m)
                 for theta in (1e-7, 1e-4, 5e-3):
-                    a = mpmath.mpf(c.exponent_rate) * theta
+                    a = mpmath.mpf(link.exponent_rate) * theta
 
                     def deficit(g):
                         density = mpmath.exp(log_norm + (m - 1) * mpmath.log(g) - m * g)

@@ -10,7 +10,6 @@ from eelink import (
     cdf,
     db_to_linear,
     dbm_to_watt,
-    derived_constants,
     integrate,
     path_loss_db,
     pdf,
@@ -84,6 +83,13 @@ class TestSystemParams:
                 fading_m=0.3,
                 distance_km=1.0,
             )
+
+    def test_fading_ceiling(self, params):
+        # Gamma(m) is finite up to m = 171.62; past 171 the analytics
+        # overflow, so the link is rejected up front.
+        assert dataclasses.replace(params, fading_m=171.0).fading_m == 171.0
+        with pytest.raises(DomainError, match="Gamma\\(m\\) passes the float range"):
+            dataclasses.replace(params, fading_m=171.7)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", [
@@ -213,17 +219,22 @@ class TestSampler:
 
 
 class TestDerivedConstants:
+    """The link constants SystemParams derives from its fields."""
+
     def test_reference_values(self, params):
-        c = derived_constants(params)
-        assert c.exponent_rate == pytest.approx(-259.68510736001343, rel=1e-13)
-        assert c.mean_snr == pytest.approx(4312.483981270508, rel=1e-9)
-        assert c.exponent_rate < 0.0 < c.mean_snr
+        assert params.exponent_rate == pytest.approx(-259.68510736001343, rel=1e-13)
+        assert params.mean_snr == pytest.approx(4312.483981270508, rel=1e-9)
+        assert params.exponent_rate < 0.0 < params.mean_snr
 
     def test_bandwidth_scaling(self, params):
-        import dataclasses
-
         doubled = dataclasses.replace(params, bandwidth=2 * params.bandwidth)
-        c0 = derived_constants(params)
-        c1 = derived_constants(doubled)
-        assert c1.exponent_rate == pytest.approx(2 * c0.exponent_rate, rel=1e-13)
-        assert c1.mean_snr == pytest.approx(0.5 * c0.mean_snr, rel=1e-13)
+        assert doubled.exponent_rate == pytest.approx(2 * params.exponent_rate, rel=1e-13)
+        assert doubled.mean_snr == pytest.approx(0.5 * params.mean_snr, rel=1e-13)
+
+    def test_read_only_and_not_fields(self, params):
+        # Properties, not fields: the CLI's keys and --dump-config iterate
+        # the dataclass fields, and the constants follow their inputs.
+        assert "mean_snr" not in params.__dataclass_fields__
+        assert "exponent_rate" not in params.__dataclass_fields__
+        with pytest.raises(AttributeError):
+            params.mean_snr = 1.0

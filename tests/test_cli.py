@@ -420,6 +420,10 @@ class TestKeysReachLibrary:
     ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--tx-power", "0"],
     ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--circuit-power", "-30"],
     ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--distance", "1e100"],
+    ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--fading-m", "172"],
+    # no circuit power, and a threshold at which no slot transmits
+    ["analyze", "--exact", "--theta", "1e-4", "--circuit-power", "0", "--gamma0", "400"],
+    ["simulate", "--mu", "1e5", "--gamma0", "400", "--circuit-power", "0", "--slots", "1000"],
 ], ids=" ".join)
 def test_nonfinite_input_is_a_domain_error(argv, capsys):
     assert main(argv) == 2

@@ -18,7 +18,6 @@ from eelink import (
     analyze,
     dbm_to_watt,
     default_params,
-    derived_constants,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -156,7 +155,7 @@ class TestFindThetaThreshold:
         except PreconditionError:
             assume(False)  # boundary outside the bracket (low-SNR links)
         # The zero-threshold baseline needs the closed form's gamma0 = 0 domain.
-        assume(1.02 * t < -m / derived_constants(params).exponent_rate)
+        assume(1.02 * t < -m / params.exponent_rate)
         below = find_optimal_threshold(params, QosSpec(theta=0.98 * t))
         above = find_optimal_threshold(params, QosSpec(theta=1.02 * t))
         assert below.regime is Regime.GATED

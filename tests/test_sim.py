@@ -17,7 +17,7 @@ from eelink import (
     run,
     total_power,
 )
-from eelink.channel import derived_constants, sample_gains
+from eelink.channel import sample_gains
 from eelink.sim import QUEUE_GUARD_BITS, _BLOCK_SLOTS
 
 SLOTS = 200_000
@@ -85,6 +85,12 @@ class TestRun:
         with pytest.raises(QueueOverflowError):
             run(config(params, 1e13, 0.5, num_slots=500))
 
+    def test_zero_mean_power_is_a_domain_error(self, params):
+        # No circuit or idle power and no slot transmitted: EE is undefined.
+        link = dataclasses.replace(params, circuit_power=0.0)
+        with pytest.raises(DomainError, match="mean power is 0 W"):
+            run(config(link, 1e5, 400.0, num_slots=1000))
+
     def test_config_validation(self, params):
         with pytest.raises(DomainError):
             config(params, -1.0, 0.5)
@@ -111,7 +117,7 @@ def whole_array_run(config):
     fields and the first slot past the stability guard (None if none)."""
     p = config.params
     gains = sample_gains(p, np.random.default_rng(config.seed), config.num_slots)
-    snr = derived_constants(p).mean_snr
+    snr = p.mean_snr
     transmit = gains >= config.gamma0
     service = np.where(transmit, p.slot_duration * p.bandwidth * np.log2(1.0 + snr * gains), 0.0)
     path = np.cumsum(config.arrival_rate * p.slot_duration - service)

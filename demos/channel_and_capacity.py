@@ -9,15 +9,13 @@ import numpy as np
 from eelink import (
     METHOD_EXACT,
     QosSpec,
+    analyze,
     cdf,
     default_params,
     dbm_to_watt,
     effective_capacity,
-    energy_efficiency,
-    mode_probabilities,
     path_loss_db,
     sample_gains,
-    total_power,
 )
 
 params = default_params()
@@ -39,11 +37,10 @@ print("\nEffective capacity vs threshold (theta = 1e-4)")
 qos = QosSpec(theta=1e-4)
 print(f"  {'gamma0':>8} {'p_tr':>8} {'power W':>9} {'capacity bps':>14} {'EE bits/J':>12}")
 for g in (0.0, 0.25, 0.5323, 1.0, 1.73):
-    p_tr, _ = mode_probabilities(params, g)
+    r = analyze(params, qos, g)
     print(
-        f"  {g:8.4f} {p_tr:8.4f} {total_power(params, g):9.4f}"
-        f" {effective_capacity(params, qos, g):14.1f}"
-        f" {energy_efficiency(params, qos, g):12.1f}"
+        f"  {g:8.4f} {r.p_tr:8.4f} {r.total_power:9.4f}"
+        f" {r.effective_capacity:14.1f} {r.ee:12.1f}"
     )
 
 print("\nTighter QoS shrinks the capacity (gamma0 = 0.5)")

@@ -8,15 +8,14 @@ large-deviations estimate.
 from eelink import (
     QosSpec,
     SimConfig,
+    analyze,
     default_params,
     delay_outage_curve,
     delay_outage_estimate,
     ee_vs_threshold_curve,
     effective_capacity,
     improvement_vs_baseline,
-    mode_probabilities,
     run,
-    total_power,
 )
 
 params = default_params()
@@ -27,11 +26,11 @@ for mu, gamma0 in ((1519.7e3, 0.53), (300e3, 1.73)):
     cfg = SimConfig(params=params, arrival_rate=mu, gamma0=gamma0,
                     num_slots=200_000, seed=4, delay_bound=qos.delay_bound)
     rep = run(cfg)
-    p_tr, _ = mode_probabilities(params, gamma0)
+    model = analyze(params, qos, gamma0)
     print(f"\n  mu = {mu:.4g} bits/s, gamma0 = {gamma0}")
     print(f"    empirical EE      {rep.empirical_ee:12.1f} bits/J")
-    print(f"    p_tr              {rep.p_tr_hat:12.4f}   (model {p_tr:.4f})")
-    print(f"    mean power        {rep.mean_power:12.4f} W (model {total_power(params, gamma0):.4f})")
+    print(f"    p_tr              {rep.p_tr_hat:12.4f}   (model {model.p_tr:.4f})")
+    print(f"    mean power        {rep.mean_power:12.4f} W (model {model.total_power:.4f})")
     print(f"    buffer nonempty   {rep.p_b_hat:12.4f}")
     print(f"    delay outage      {rep.delay_outage_hat:12.4f}   "
           f"(estimate {delay_outage_estimate(qos, rep.p_b_hat, qos.theta * mu):.4f})")

@@ -13,9 +13,7 @@ from .analysis import (
     energy_efficiency,
     log_service_mgf,
     mean_service_rate,
-    mode_probabilities,
     service_mgf,
-    total_power,
 )
 from .channel import (
     SystemParams,
@@ -25,7 +23,6 @@ from .channel import (
     default_params,
     path_loss_db,
     pdf,
-    sample_gain,
     sample_gains,
     tail_probability,
 )
@@ -34,7 +31,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleRateError,
-    PoleError,
     PreconditionError,
     QuadratureError,
     QueueOverflowError,
@@ -51,7 +47,6 @@ from .optimize import (
 )
 from .sim import (
     QUEUE_GUARD_BITS,
-    CurvePoint,
     SimConfig,
     SimReport,
     delay_outage_curve,
@@ -59,6 +54,6 @@ from .sim import (
     improvement_vs_baseline,
     run,
 )
-from .special import QuadratureSettings, gamma_fn, integrate, upper_incomplete_gamma
+from .special import integrate, upper_incomplete_gamma
 
 __version__ = "0.1.0"

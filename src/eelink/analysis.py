@@ -141,22 +141,14 @@ def effective_capacity(
     return -log_mgf / (qos.theta * params.slot_duration)
 
 
-def mode_probabilities(params: SystemParams, gamma0: float) -> tuple[float, float]:
-    """(p_tr, p_idle): transmit- and idle-mode probabilities; they sum to 1
-    exactly because the idle side is computed as the complement."""
+def _modes(params: SystemParams, gamma0: float) -> tuple[float, float, float]:
+    # (p_tr, p_idle, total power in W) at gamma0. The two mode probabilities
+    # sum to 1 exactly because the idle side is computed as the complement.
     _check_gamma0(gamma0)
     p_tr = tail_probability(params, gamma0)
-    return p_tr, 1.0 - p_tr
-
-
-def _power(params: SystemParams, p_tr: float, p_idle: float) -> float:
-    return params.circuit_power + params.tx_power * p_tr + params.idle_power * p_idle
-
-
-def total_power(params: SystemParams, gamma0: float) -> float:
-    """Mean consumed power in W: circuit power plus mode-weighted radiated
-    and idle power."""
-    return _power(params, *mode_probabilities(params, gamma0))
+    p_idle = 1.0 - p_tr
+    power = params.circuit_power + params.tx_power * p_tr + params.idle_power * p_idle
+    return p_tr, p_idle, power
 
 
 def energy_efficiency(
@@ -166,16 +158,19 @@ def energy_efficiency(
     return analyze(params, qos, gamma0, method).ee
 
 
-def ee_trend(params: SystemParams, qos: QosSpec, gamma0: float) -> float:
+def ee_trend(
+    params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
+) -> float:
     """Trend indicator for energy efficiency versus the threshold.
 
     Its sign matches the sign of d(EE)/d(gamma0): positive while raising the
-    threshold still helps, negative once it hurts. Cheap to evaluate, so the
-    optimizer bisects on it instead of differencing EE.
+    threshold still helps, negative once it hurts. Cheap to evaluate in
+    closed form, so the optimizer bisects on it instead of differencing EE.
+    Unlike EE it stays defined at a total power of 0 W.
     """
-    p_tr, p_idle = mode_probabilities(params, gamma0)
-    log_mgf = _log_mgf_closed(params, qos.theta, gamma0, p_idle)
-    return _trend(params, qos.theta, gamma0, log_mgf, _power(params, p_tr, p_idle))
+    _, p_idle, power = _modes(params, gamma0)
+    log_mgf = _log_mgf(params, qos.theta, gamma0, p_idle, method)
+    return _trend(params, qos.theta, gamma0, log_mgf, power)
 
 
 def _trend(
@@ -207,8 +202,7 @@ def analyze(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> AnalysisResult:
     """Bundle every per-point quantity into one result."""
-    p_tr, p_idle = mode_probabilities(params, gamma0)
-    power = _power(params, p_tr, p_idle)
+    p_tr, p_idle, power = _modes(params, gamma0)
     if power == 0.0:
         raise DomainError(
             f"total power is 0 W at gamma0 = {gamma0}: no circuit or idle power, and "

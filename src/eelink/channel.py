@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, _require_finite
-from .special import gamma_fn, upper_incomplete_gamma
+from .special import upper_incomplete_gamma
 
 if TYPE_CHECKING:
     import numpy as np
@@ -148,17 +148,12 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
     if threshold == 0.0:
         return 1.0
     m = params.fading_m
-    return upper_incomplete_gamma(m, m * threshold) / gamma_fn(m)
+    return upper_incomplete_gamma(m, m * threshold) / math.gamma(m)
 
 
 def cdf(params: SystemParams, threshold: float) -> float:
     """P(gain < threshold); exact complement of tail_probability."""
     return 1.0 - tail_probability(params, threshold)
-
-
-def sample_gain(params: SystemParams, rng: np.random.Generator) -> float:
-    """One draw of the power gain; rng must be a seeded numpy Generator."""
-    return float(rng.gamma(shape=params.fading_m, scale=1.0 / params.fading_m))
 
 
 def sample_gains(params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:

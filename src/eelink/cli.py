@@ -86,7 +86,6 @@ _UNITS: dict[str, tuple[tuple[str, Callable[[str], float | int]], ...]] = {
     "circuit_power": _POWER,
     "idle_power": _POWER,
     "path_loss": (("db", _scaled(db_to_linear)),),
-    "max_iterations": _INT,
     "slots": _INT,
     "seed": _INT,
     "warmup": _INT,
@@ -224,8 +223,7 @@ def _cmd_optimize(args: argparse.Namespace, cfg: dict, params: SystemParams) -> 
 
 
 def _cmd_theta_threshold(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
-    settings = _build(SearchSettings, cfg)
-    return [{"theta_thr": find_theta_threshold(params, args.theta_lo, args.theta_hi, settings)}]
+    return [{"theta_thr": find_theta_threshold(params, args.theta_lo, args.theta_hi)}]
 
 
 def _cmd_invert(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:

@@ -8,10 +8,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """The gamma function was evaluated at zero or a negative integer."""
-
-
 class QuadratureError(RuntimeError):
     """Adaptive integration exhausted its budget without meeting tolerance."""
 

@@ -18,7 +18,6 @@ from typing import Callable
 from .analysis import (
     METHOD_CLOSED,
     QosSpec,
-    analyze,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -53,7 +52,6 @@ class SearchSettings:
     epsilon: float = 1e-8
     gamma0_lower: float = 0.0
     gamma0_cap: float = 64.0
-    max_iterations: int = 200
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -63,8 +61,6 @@ class SearchSettings:
             raise DomainError("gamma0_lower must be nonnegative")
         if self.gamma0_cap <= self.gamma0_lower:
             raise DomainError("gamma0_cap must exceed gamma0_lower")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -81,17 +77,19 @@ class OptimumResult:
 
 
 def _bisect(
-    predicate: Callable[[float], bool], lo: float, hi: float, width: float, max_iterations: int
+    predicate: Callable[[float], bool], lo: float, hi: float, width: float
 ) -> tuple[float, float, int]:
     """Halve [lo, hi] until it is at most `width` wide, keeping the predicate
     true at lo and false at hi; returns the final (lo, hi) and the number of
-    halvings. A width below the float spacing is never reached, hence the
-    max_iterations guard."""
+    halvings. Raises BracketError once the midpoint rounds onto an end, which
+    happens only when `width` is below the float spacing there."""
     iterations = 0
     while hi - lo > width:
-        if iterations >= max_iterations:
-            raise BracketError("bisection exceeded max_iterations")
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            raise BracketError(
+                f"bisection reached adjacent floats at width {hi - lo:.3g}, above {width:.3g}"
+            )
         if predicate(mid):
             lo = mid
         else:
@@ -133,7 +131,7 @@ def find_optimal_threshold(
         rising, max(1.0, s.gamma0_lower), s.gamma0_cap, "trend indicator still positive"
     )
     bracket = (s.gamma0_lower, upper)
-    lower, upper, iterations = _bisect(rising, *bracket, s.epsilon, s.max_iterations)
+    lower, upper, iterations = _bisect(rising, *bracket, s.epsilon)
     mid = 0.5 * (lower + upper)
 
     if mid < GATING_RESOLUTION:
@@ -142,9 +140,7 @@ def find_optimal_threshold(
     return OptimumResult(Regime.GATED, mid, ee_opt, ee_baseline, iterations, bracket)
 
 
-def find_theta_threshold(
-    params: SystemParams, theta_lo: float, theta_hi: float, settings: SearchSettings | None = None
-) -> float:
+def find_theta_threshold(params: SystemParams, theta_lo: float, theta_hi: float) -> float:
     """QoS-exponent boundary between the gated and ungated regimes.
 
     The boundary is where the trend indicator at the gating resolution
@@ -152,7 +148,6 @@ def find_theta_threshold(
     gated. Bisects in log theta to relative width 1e-4; the indicator must
     be positive at theta_lo and not at theta_hi.
     """
-    s = settings if settings is not None else SearchSettings()
     if not 0.0 < theta_lo < theta_hi:
         raise DomainError("need 0 < theta_lo < theta_hi")
 
@@ -165,7 +160,7 @@ def find_theta_threshold(
     if gated(hi):
         raise PreconditionError(f"still gated at theta_hi = {theta_hi}")
 
-    lo, hi, _ = _bisect(gated, lo, hi, math.log1p(1e-4), s.max_iterations)
+    lo, hi, _ = _bisect(gated, lo, hi, math.log1p(1e-4))
     return 0.5 * (math.exp(lo) + math.exp(hi))
 
 
@@ -193,7 +188,7 @@ def invert_effective_capacity(
         return effective_capacity(params, qos, g, method) > mu
 
     hi = _grow_bracket(carries, 1.0, s.gamma0_cap, "capacity still above mu")
-    lo, hi, _ = _bisect(carries, 0.0, hi, s.epsilon, s.max_iterations)
+    lo, hi, _ = _bisect(carries, 0.0, hi, s.epsilon)
     return 0.5 * (lo + hi)
 
 
@@ -224,11 +219,7 @@ def sweep(
         if quantity == "alpha":
             return effective_capacity(params, qos, g, method)
         if quantity == "G":
-            # ee_trend is the closed form's trend; analyze pairs the exact
-            # service moment with the exact kernel.
-            if method == METHOD_CLOSED:
-                return ee_trend(params, qos, g)
-            return analyze(params, qos, g, method).ee_trend
+            return ee_trend(params, qos, g, method)
         if quantity == "F":
             return service_mgf(params, qos, g, method)
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, PoleError, QuadratureError
+from .errors import DomainError, QuadratureError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,33 +31,8 @@ _EULER = 0.5772156649015329
 _TERM_EPS = 1e-15          # series / continued-fraction termination
 _MAX_TERMS = 10_000
 _DE_LEVELS = 5             # step halvings held by the quadrature tables
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and budget for `integrate`: it stops once the sums at step h
-    and step 2h differ by at most max(abs_tol, rel_tol * |sum|), after at
-    most max_subdivisions halvings of the step. The default is the tables'
-    depth, 5 halvings, which also caps larger values."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = _DE_LEVELS
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise DomainError("abs_tol must be nonnegative")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-def gamma_fn(v: float) -> float:
-    """Complete gamma function. Raises PoleError at 0, -1, -2, ..."""
-    if v <= 0.0 and v == math.floor(v):
-        raise PoleError(f"gamma function pole at v = {v}")
-    return math.gamma(v)
+_DE_REL_TOL = 1e-10        # quadrature stops once successive sums agree to
+_DE_ABS_TOL = 1e-14        # max(_DE_ABS_TOL, _DE_REL_TOL * |sum|)
 
 
 def _lower_series_scaled(v: float, z: float) -> float:
@@ -200,12 +174,7 @@ def _de_tables() -> list[tuple]:
     return tables
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    settings: QuadratureSettings | None = None,
-) -> float:
+def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """Double-exponential quadrature of f over (lo, hi); hi may be math.inf.
 
     f maps a 1-D array of nodes to the array of its values there, and is
@@ -215,13 +184,12 @@ def integrate(
     from lo on [lo, inf) and 1e-61 half-widths from an end on [lo, hi], so
     they never touch an integrable singularity at an end at 0; at an end
     anywhere else they round onto it. The step in t halves until the sums at
-    step h and step 2h differ by at most max(abs_tol, rel_tol * |sum|).
-    Raises QuadratureError on a non-finite sum, or when max_subdivisions
-    halvings (or the tables' depth, 5) run out first.
+    step h and step 2h differ by at most max(1e-14, 1e-10 * |sum|). Raises
+    QuadratureError on a non-finite sum, or when the tables' 5 halvings run
+    out first.
     """
     import numpy as np
 
-    s = settings if settings is not None else QuadratureSettings()
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     half = 0.5 * (hi - lo)
@@ -235,10 +203,8 @@ def integrate(
         previous, total = total, 0.5 * total + float(part)
         if not math.isfinite(total):
             raise QuadratureError(f"quadrature sum is not finite over [{lo}, {hi}]")
-        if level and abs(total - previous) <= max(s.abs_tol, s.rel_tol * abs(total)):
+        if level and abs(total - previous) <= max(_DE_ABS_TOL, _DE_REL_TOL * abs(total)):
             return total
-        if level == s.max_subdivisions:
-            break
     raise QuadratureError(
         f"quadrature over [{lo}, {hi}] missed its tolerance after {level} step halvings"
     )

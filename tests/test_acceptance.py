@@ -13,6 +13,7 @@ from eelink import (
     Regime,
     SearchSettings,
     SimConfig,
+    analyze,
     default_params,
     ee_trend,
     effective_capacity,
@@ -22,11 +23,9 @@ from eelink import (
     improvement_vs_baseline,
     invert_effective_capacity,
     mean_service_rate,
-    mode_probabilities,
     path_loss_db,
     run,
     service_mgf,
-    total_power,
     upper_incomplete_gamma,
 )
 
@@ -162,14 +161,15 @@ def test_criterion_7_regimes():
 @report("criterion 7e: simulated occupancy and power within binomial bounds")
 def test_criterion_7_simulator_bounds():
     gamma0 = 0.8
-    p_tr, _ = mode_probabilities(PARAMS, gamma0)
+    model = analyze(PARAMS, QosSpec(theta=1e-4), gamma0)
+    p_tr = model.p_tr
     for seed in (1, 2, 3):
         rep = run(SimConfig(params=PARAMS, arrival_rate=5e5, gamma0=gamma0,
                             num_slots=100_000, seed=seed))
         n = 100_000 - 5_000
         sigma = math.sqrt(p_tr * (1.0 - p_tr) / n)
         assert abs(rep.p_tr_hat - p_tr) <= 3.0 * sigma
-        assert abs(rep.mean_power - total_power(PARAMS, gamma0)) <= (
+        assert abs(rep.mean_power - model.total_power) <= (
             3.0 * sigma * (PARAMS.tx_power - PARAMS.idle_power)
         )
 

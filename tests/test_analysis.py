@@ -15,12 +15,10 @@ from eelink import (
     ee_trend,
     effective_capacity,
     energy_efficiency,
-    gamma_fn,
     log_service_mgf,
     mean_service_rate,
-    mode_probabilities,
     service_mgf,
-    total_power,
+    tail_probability,
     upper_incomplete_gamma,
 )
 from eelink import analysis, channel
@@ -100,27 +98,32 @@ class TestEffectiveCapacity:
 
 
 class TestModesAndPower:
-    def test_zero_threshold(self, params):
-        assert mode_probabilities(params, 0.0) == (1.0, 0.0)
+    def test_zero_threshold(self, params, qos_1e4):
+        r = analyze(params, qos_1e4, 0.0)
+        assert (r.p_tr, r.p_idle) == (1.0, 0.0)
 
-    def test_published_threshold(self, params):
-        p_tr, p_idle = mode_probabilities(params, 0.5323)
-        assert p_tr == pytest.approx(0.7120098759495865, abs=1e-10)
-        assert p_tr + p_idle == 1.0
+    def test_published_threshold(self, params, qos_1e4):
+        r = analyze(params, qos_1e4, 0.5323)
+        assert r.p_tr == pytest.approx(0.7120098759495865, abs=1e-10)
+        assert r.p_tr + r.p_idle == 1.0
 
-    def test_deep_gating(self, params):
-        p_tr, p_idle = mode_probabilities(params, 40.0)
-        assert p_tr < 1e-12
-        assert p_idle > 1.0 - 1e-12
+    def test_deep_gating(self, params, qos_1e4):
+        r = analyze(params, qos_1e4, 40.0)
+        assert r.p_tr < 1e-12
+        assert r.p_idle > 1.0 - 1e-12
 
-    def test_total_power_endpoints(self, params):
-        assert total_power(params, 0.0) == pytest.approx(20.0526231496888, rel=1e-13)
-        assert total_power(params, 40.0) == pytest.approx(params.circuit_power, abs=1e-12)
+    def test_total_power_endpoints(self, params, qos_1e4):
+        assert analyze(params, qos_1e4, 0.0).total_power == pytest.approx(
+            20.0526231496888, rel=1e-13
+        )
+        assert analyze(params, qos_1e4, 40.0).total_power == pytest.approx(
+            params.circuit_power, abs=1e-12
+        )
 
     @pytest.mark.parametrize("gamma0", NONFINITE)
     def test_nonfinite_threshold_rejected(self, params, qos_1e4, gamma0):
         for call in (
-            lambda: mode_probabilities(params, gamma0),
+            lambda: ee_trend(params, qos_1e4, gamma0),
             lambda: log_service_mgf(params, qos_1e4, gamma0, METHOD_EXACT),
             lambda: analyze(params, qos_1e4, gamma0),
             lambda: mean_service_rate(params, gamma0),
@@ -128,9 +131,9 @@ class TestModesAndPower:
             with pytest.raises(DomainError, match="gamma0 must be nonnegative and finite"):
                 call()
 
-    def test_equal_mode_powers_collapse(self, params):
+    def test_equal_mode_powers_collapse(self, params, qos_1e4):
         flat = dataclasses.replace(params, tx_power=2.0, idle_power=2.0)
-        values = {total_power(flat, g) for g in (0.0, 0.5, 1.0, 3.0)}
+        values = {analyze(flat, qos_1e4, g).total_power for g in (0.0, 0.5, 1.0, 3.0)}
         assert values == {flat.circuit_power + 2.0}
 
 
@@ -188,7 +191,7 @@ class TestEnergyEfficiency:
         # No circuit or idle power, and a threshold so high that the
         # transmit probability underflows to 0.
         link = dataclasses.replace(params, circuit_power=0.0)
-        assert total_power(link, 400.0) == 0.0
+        assert tail_probability(link, 400.0) == 0.0
         with pytest.raises(DomainError, match="total power is 0 W"):
             analyze(link, QosSpec(theta=1e-4), 400.0, method)
 
@@ -196,7 +199,7 @@ class TestEnergyEfficiency:
 class TestServiceMgf:
     def test_zero_threshold_boundary_value(self, params, qos_1e4):
         a = params.exponent_rate * qos_1e4.theta
-        expected = math.exp(a * math.log(params.mean_snr / 2.0)) * gamma_fn(2.0 + a)
+        expected = math.exp(a * math.log(params.mean_snr / 2.0)) * math.gamma(2.0 + a)
         assert service_mgf(params, qos_1e4, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_tends_to_one(self, params, qos_1e4):
@@ -290,6 +293,14 @@ class TestTrendIndicator:
     def test_frozen_values(self, params, qos_1e4):
         assert ee_trend(params, qos_1e4, 0.25) == pytest.approx(TREND_AT_025, rel=1e-10)
         assert ee_trend(params, qos_1e4, 1.0) == pytest.approx(TREND_AT_1, rel=1e-9)
+
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
+    def test_is_analyze_trend(self, params, method):
+        for theta in (1e-6, 1e-4):
+            qos = QosSpec(theta=theta)
+            for g in (0.0, 0.5, 4.0):
+                expected = analyze(params, qos, g, method).ee_trend
+                assert ee_trend(params, qos, g, method) == expected, (theta, g)
 
     def test_strict_qos_always_negative(self, params):
         qos = QosSpec(theta=1e-3)

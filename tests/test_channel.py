@@ -13,7 +13,6 @@ from eelink import (
     integrate,
     path_loss_db,
     pdf,
-    sample_gain,
     sample_gains,
     tail_probability,
 )
@@ -205,7 +204,6 @@ class TestSampler:
         a = sample_gains(params, np.random.default_rng(7), 1000)
         b = sample_gains(params, np.random.default_rng(7), 1000)
         assert np.array_equal(a, b)
-        assert sample_gain(params, np.random.default_rng(7)) == a[0]
 
     def test_kolmogorov_smirnov(self, params):
         rng = np.random.default_rng(2)

@@ -191,6 +191,17 @@ class TestSweep:
         assert any(v > 0 for v in loose)
         assert all(v < 0 for v in strict)
 
+    def test_exact_trend_at_zero_total_power(self, capsys):
+        # No circuit or idle power: at gamma0 = 400 no slot transmits and EE
+        # is undefined, but the trend is 0.
+        assert main([
+            "sweep", "--theta-list", "1e-4", "--gamma0-range", "0:400", "--steps", "3",
+            "--quantity", "G", "--exact", "--circuit-power", "0", "--json",
+        ]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["gamma0"] for r in rows] == [0.0, 200.0, 400.0]
+        assert rows[0]["G"] > 0.0 and rows[2]["G"] == 0.0
+
 
 class TestSimulate:
     def test_constant_power_baseline(self, capsys):
@@ -313,7 +324,6 @@ NON_DEFAULT = {
     "epsilon": ("1e-6", 1e-6),
     "gamma0_lower": ("0.25", 0.25),
     "gamma0_cap": ("32", 32.0),
-    "max_iterations": ("50", 50),
 }
 
 
@@ -399,7 +409,7 @@ class TestKeysReachLibrary:
         ("circuit_power", "0.1W/Hz"),
         ("path_loss", "128dBm"),
         ("bandwidth", "180kHz"),
-        ("max_iterations", "1e3"),
+        ("slots", "1e3"),
     ])
     def test_wrong_suffix_is_fatal(self, key, text, source, received, tmp_path, capsys):
         assert optimize_with(key, text, source, tmp_path) == 2

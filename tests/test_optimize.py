@@ -119,6 +119,20 @@ class TestFindOptimalThreshold:
                 params, QosSpec(theta=1e-5), SearchSettings(gamma0_cap=1.0)
             )
 
+    def test_unreachable_epsilon_stops_at_float_spacing(self, params, qos_1e4, monkeypatch):
+        # Below the float spacing the midpoint rounds onto an end, which ends
+        # the search after about 53 halvings rather than looping on.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ee_trend(*args)
+
+        monkeypatch.setattr("eelink.optimize.ee_trend", counted)
+        with pytest.raises(BracketError, match="adjacent floats"):
+            find_optimal_threshold(params, qos_1e4, SearchSettings(epsilon=1e-20))
+        assert len(calls) <= 60
+
     def test_any_fading_m(self, params, qos_1e4):
         rician_like = dataclasses.replace(params, fading_m=3.0)
         r = find_optimal_threshold(rician_like, qos_1e4)
@@ -182,10 +196,6 @@ class TestFindThetaThreshold:
         with pytest.raises(DomainError):
             find_theta_threshold(params, 1e-2, 1e-5)
 
-    def test_iteration_guard(self, params):
-        with pytest.raises(BracketError):
-            find_theta_threshold(params, 1e-5, 1e-2, SearchSettings(max_iterations=3))
-
 
 class TestInvertEffectiveCapacity:
     def test_published_bounds(self, params, qos_1e4):
@@ -221,8 +231,8 @@ class TestInvertEffectiveCapacity:
             invert_effective_capacity(params, qos_1e4, -5.0)
 
     def test_unreachable_epsilon_hits_iteration_guard(self, params, qos_1e4):
-        # Below the float spacing of the bracket the width never shrinks.
-        with pytest.raises(BracketError):
+        # Below the float spacing of the bracket the width stops shrinking.
+        with pytest.raises(BracketError, match="adjacent floats"):
             invert_effective_capacity(params, qos_1e4, 1e6, SearchSettings(epsilon=1e-20))
 
 
@@ -277,6 +287,16 @@ class TestSweep:
             assert f == service_mgf(params, qos, g, METHOD_EXACT)
             assert G == analyze(params, qos, g, METHOD_EXACT).ee_trend
 
+    def test_exact_trend_at_zero_total_power(self, params):
+        # No circuit or idle power: at gamma0 = 400 no slot transmits and EE
+        # is undefined, but the trend is 0.
+        link = dataclasses.replace(params, circuit_power=0.0)
+        rows = sweep(link, [1e-4], (0.0, 400.0), "G", 3, method=METHOD_EXACT)
+        assert [g for _, g, _ in rows] == [0.0, 200.0, 400.0]
+        assert rows[0][2] == pytest.approx(3.398, rel=1e-3)
+        assert 0.0 < rows[1][2] < 1e-170
+        assert rows[2][2] == 0.0
+
     def test_validation(self, params):
         with pytest.raises(DomainError):
             sweep(params, [], (0.0, 1.0), "EE", 10)
@@ -296,8 +316,6 @@ class TestSearchSettings:
             SearchSettings(gamma0_lower=-1.0)
         with pytest.raises(DomainError):
             SearchSettings(gamma0_cap=0.0, gamma0_lower=1.0)
-        with pytest.raises(DomainError):
-            SearchSettings(max_iterations=0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["epsilon", "gamma0_lower", "gamma0_cap"])

@@ -12,10 +12,9 @@ from eelink import (
     delay_outage_curve,
     ee_vs_threshold_curve,
     effective_capacity,
+    analyze,
     improvement_vs_baseline,
-    mode_probabilities,
     run,
-    total_power,
 )
 from eelink.channel import sample_gains
 from eelink.sim import QUEUE_GUARD_BITS, _BLOCK_SLOTS
@@ -62,15 +61,16 @@ class TestRun:
         assert report.seed == SEED
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_mode_occupancy_within_three_sigma(self, params, seed):
+    def test_mode_occupancy_within_three_sigma(self, params, qos_1e4, seed):
         gamma0 = 0.8
         report = run(config(params, 5e5, gamma0, num_slots=100_000, seed=seed))
-        p_tr, _ = mode_probabilities(params, gamma0)
+        model = analyze(params, qos_1e4, gamma0)
+        p_tr = model.p_tr
         n = 100_000 - 5_000  # post-warmup slots
         sigma = math.sqrt(p_tr * (1.0 - p_tr) / n)
         assert abs(report.p_tr_hat - p_tr) <= 3.0 * sigma
         power_tol = 3.0 * sigma * (params.tx_power - params.idle_power)
-        assert abs(report.mean_power - total_power(params, gamma0)) <= power_tol
+        assert abs(report.mean_power - model.total_power) <= power_tol
 
     def test_queue_stays_stable_below_capacity(self, params, qos_1e4):
         gamma0 = 1.0

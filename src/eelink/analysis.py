@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import SystemParams, cdf, pdf, tail_probability
+from .channel import SystemParams, pdf, tail_probability
 from .errors import DomainError, _require_finite
 from .special import integrate, upper_incomplete_gamma
 
@@ -66,8 +66,8 @@ def _logaddexp(x: float, y: float) -> float:
 
 
 def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:
-    # log E[exp(-theta s)] given p_idle = cdf(params, gamma0). Large mean SNR
-    # replaces 1 + snr g by snr g on the transmit side, whose integral is then
+    # log E[exp(-theta s)] given p_idle from _modes. Large mean SNR replaces
+    # 1 + snr g by snr g on the transmit side, whose integral is then
     # (mean_snr / m)^a Gamma(m + a, m gamma0) / Gamma(m). The prefactor is
     # kept in log space: the mean SNR is of order 10^3 and direct powers lose
     # precision.
@@ -90,8 +90,8 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
 def _log_mgf(
     params: SystemParams, theta: float, gamma0: float, p_idle: float, method: str
 ) -> float:
-    # log E[exp(-theta s)] by the given method, with p_idle = cdf(params,
-    # gamma0); the exact route integrates the true kernel over the tail.
+    # log E[exp(-theta s)] by the given method, with p_idle from _modes; the
+    # exact route integrates the true kernel over the tail.
     if method == METHOD_CLOSED:
         return _log_mgf_closed(params, theta, gamma0, p_idle)
     if method != METHOD_EXACT:
@@ -121,8 +121,8 @@ def log_service_mgf(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Natural log of the per-slot service decay moment E[exp(-theta s)]."""
-    _check_gamma0(gamma0)
-    return _log_mgf(params, qos.theta, gamma0, cdf(params, gamma0), method)
+    _, p_idle, _ = _modes(params, gamma0)
+    return _log_mgf(params, qos.theta, gamma0, p_idle, method)
 
 
 def service_mgf(

@@ -2,9 +2,10 @@
 
 The upper incomplete gamma function here accepts negative shape parameters,
 which the closed-form link formulas produce once the QoS exponent gets large.
-Negative shapes go to the continued fraction directly when the argument is
-moderately large, and otherwise through a downward recurrence from an anchor
-in (0, 1] where the standard series / continued-fraction split applies.
+It has one route table: orders of 0.01 and above take the standard series /
+continued-fraction split; lower orders take the continued fraction once the
+argument reaches 1.5, and otherwise one downward recurrence from an anchor in
+[0.01, 1.01), with the exponential integral at orders within 1e-8 of 0.
 
 `integrate` is the double-exponential rule of Takahasi & Mori (Publ. RIMS 9,
 1974; Mori & Sugihara, J. Comput. Appl. Math. 127, 2001): exp-sinh on
@@ -72,38 +73,18 @@ def _upper_cf_scaled(v: float, z: float) -> float:
     raise QuadratureError(f"incomplete gamma fraction stalled at v={v}, z={z}")
 
 
-def _upper_positive(v: float, z: float) -> float:
-    # Gamma(v, z) for v > 0, z > 0. Tiny orders sit next to the v = 0 pole
-    # of the complete gamma, where the series route cancels catastrophically;
-    # they go to the continued fraction (z at least 1.5, any order), the
-    # exponential integral (v below 1e-8), or one recurrence step down from
-    # v + 1.
-    if v < 0.01:
-        if z >= 1.5:
-            return math.exp(v * math.log(z) - z) * _upper_cf_scaled(v, z)
-        if v < 1e-8:
-            return _expint_e1(z)
-        return (_upper_positive(v + 1.0, z) - math.exp(v * math.log(z) - z)) / v
-    log_pre = v * math.log(z) - z
-    if z < v + 1.0:
-        lower = math.exp(log_pre) * _lower_series_scaled(v, z) if log_pre > -745.0 else 0.0
-        return math.gamma(v) - lower
-    return math.exp(log_pre) * _upper_cf_scaled(v, z)
-
-
 def _expint_e1(z: float) -> float:
-    # Gamma(0, z), the exponential integral E1.
-    if z <= 1.0:
-        total = -_EULER - math.log(z)
-        term = 1.0
-        for k in range(1, _MAX_TERMS):
-            term *= -z / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) <= _TERM_EPS * abs(total):
-                return total
-        raise QuadratureError(f"E1 series stalled at z={z}")
-    return math.exp(-z) * _upper_cf_scaled(0.0, z)
+    # Gamma(0, z), the exponential integral E1, by its power series. Only the
+    # recurrence in upper_incomplete_gamma calls it, always with z < 1.5.
+    total = -_EULER - math.log(z)
+    term = 1.0
+    for k in range(1, _MAX_TERMS):
+        term *= -z / k
+        contrib = -term / k
+        total += contrib
+        if abs(contrib) <= _TERM_EPS * abs(total):
+            return total
+    raise QuadratureError(f"E1 series stalled at z={z}")
 
 
 def upper_incomplete_gamma(v: float, z: float) -> float:
@@ -111,6 +92,10 @@ def upper_incomplete_gamma(v: float, z: float) -> float:
 
     v may be negative or zero provided z > 0; at z = 0 the integral only
     converges for v > 0, where it equals the complete gamma function.
+    Against 40-digit mpmath the relative error is about 1e-12 or less. At an
+    order a distance d below 0.01 from 0, -1, -2, ... it is about 1e-14 / d,
+    because the recurrence divides by the order near 0; it peaks at about
+    1e-6 at d = 1e-8, where E1 takes over.
     """
     if z < 0.0:
         raise DomainError(f"z must be nonnegative, got {z}")
@@ -118,28 +103,31 @@ def upper_incomplete_gamma(v: float, z: float) -> float:
         if v <= 0.0:
             raise DomainError(f"Gamma({v}, 0) diverges; need v > 0 at z = 0")
         return math.gamma(v)
-    if v > 0.0:
-        return _upper_positive(v, z)
-    if z >= 1.5:
-        # The continued fraction converges for any real order once z is
-        # moderately large; the downward recurrence would lose a factor of
-        # about z in precision per unit step here.
-        return math.exp(v * math.log(z) - z) * _upper_cf_scaled(v, z)
-    # Small z: anchor at v' = v + n in (0, 1], then step down one unit at a
-    # time with Gamma(w - 1, z) = (Gamma(w, z) - z^(w-1) e^-z) / (w - 1).
-    vp = v % 1.0
-    if vp == 0.0:
-        vp = 1.0
-    n = round(vp - v)
-    value = _upper_positive(vp, z)
-    w = vp
-    for _ in range(n):
-        w -= 1.0
-        if w == 0.0:
-            value = _expint_e1(z)
+    if v < 0.01 and z < 1.5:
+        # Low orders at small z: the orders w = v % 1, w - 1, ..., v each come
+        # from the one above with Gamma(w, z) = (Gamma(w + 1, z) - z^w e^-z) / w,
+        # so the anchor is w, or w + 1 when w is below 0.01. The division
+        # cancels next to order 0, so any w within 1e-8 of 0 takes
+        # Gamma(0, z) = E1(z) instead.
+        w = v % 1.0
+        if w < 0.01:
+            value = upper_incomplete_gamma(w + 1.0, z)
         else:
-            value = (value - math.exp(w * math.log(z) - z)) / w
-    return value
+            value = upper_incomplete_gamma(w, z)
+            w -= 1.0
+        for _ in range(round(w - v) + 1):
+            value = _expint_e1(z) if abs(w) < 1e-8 else (value - math.exp(w * math.log(z) - z)) / w
+            w -= 1.0
+        return value
+    # The continued fraction converges for any real order once z > 0. Orders
+    # below 0.01 take it from z = 1.5 on: the series would cancel next to the
+    # pole of the complete gamma at 0, and the recurrence would lose about a
+    # factor of z per step. Orders of 0.01 and above take it from z = v + 1.
+    if v < 0.01 or z >= v + 1.0:
+        return math.exp(v * math.log(z) - z) * _upper_cf_scaled(v, z)
+    log_pre = v * math.log(z) - z
+    lower = math.exp(log_pre) * _lower_series_scaled(v, z) if log_pre > -745.0 else 0.0
+    return math.gamma(v) - lower
 
 
 # Double-exponential tables over |t| <= _DE_T. Level 0 has step _DE_H0 and

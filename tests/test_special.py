@@ -92,6 +92,38 @@ class TestUpperIncompleteGamma:
         rhs = v * upper_incomplete_gamma(v, z) + math.exp(v * math.log(z) - z)
         assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
+    def test_near_integer_orders_match_mpmath(self):
+        # Orders a distance d = 10^-p either side of 0, -1, ..., -4, below
+        # z = 1.5 where the downward recurrence runs. test_recurrence_identity
+        # cannot see an error here: Gamma(v) and Gamma(v + 1) come out of the
+        # same chain. The recurrence divides by an order near 0 and loses
+        # about 1e-14 / d; below d = 1e-8, E1 stands in for order 0 and is off
+        # by about d / 4.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for p in range(4, 16):
+                d = 10.0**-p
+                tol = 2e-14 / d if d >= 1e-8 else 1e-8
+                for k in range(5):
+                    for v in (-k + d, -k - d):
+                        for z in (0.01, 0.2, 0.7, 1.2, 1.49):
+                            err = rel(upper_incomplete_gamma(v, z), float(mpmath.gammainc(v, z)))
+                            assert err < tol, (v, z, err)
+
+    def test_route_edges_match_mpmath(self):
+        # Either side of each switch: order 0.01, z = 1.5 below it, and
+        # z = v + 1 above it.
+        mpmath = pytest.importorskip("mpmath")
+        points = []
+        for s in (-1e-12, 1e-12):
+            points += [(0.01 + s, z) for z in (0.005, 0.5, 1.0, 1.49, 3.0)]
+            points += [(v, 1.5 + s) for v in (-3.5, -0.5, 0.005)]
+            points += [(v, v + 1.0 + s) for v in (0.02, 0.3, 1.7, 4.2)]
+        with mpmath.workdps(40):
+            for v, z in points:
+                err = rel(upper_incomplete_gamma(v, z), float(mpmath.gammainc(v, z)))
+                assert err < 1e-12, (v, z, err)
+
     @pytest.mark.parametrize("v", [-2.5, -0.5, 0.7, 3.0])
     @pytest.mark.parametrize("z", [0.5, 2.0, 10.0])
     def test_agrees_with_quadrature(self, v, z):

@@ -106,7 +106,7 @@ def _log_mgf(
     def deficit(g: np.ndarray) -> np.ndarray:
         return -np.expm1(a * np.log1p(snr * g)) * pdf(params, g)
 
-    one_minus_f = integrate(deficit, gamma0, math.inf)
+    one_minus_f = integrate(deficit, gamma0)
     if one_minus_f <= 0.5:
         return math.log1p(-one_minus_f)
 
@@ -114,7 +114,7 @@ def _log_mgf(
     def kernel(g: np.ndarray) -> np.ndarray:
         return np.exp(a * np.log1p(snr * g)) * pdf(params, g)
 
-    return math.log(p_idle + integrate(kernel, gamma0, math.inf))
+    return math.log(p_idle + integrate(kernel, gamma0))
 
 
 def log_service_mgf(
@@ -234,4 +234,4 @@ def mean_service_rate(params: SystemParams, gamma0: float) -> float:
     def integrand(g: np.ndarray) -> np.ndarray:
         return params.bandwidth * np.log2(1.0 + snr * g) * pdf(params, g)
 
-    return integrate(integrand, gamma0, math.inf)
+    return integrate(integrand, gamma0)

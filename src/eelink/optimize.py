@@ -50,17 +50,14 @@ class SearchSettings:
     """Bisection tolerance and bracket limits for the threshold searches."""
 
     epsilon: float = 1e-8
-    gamma0_lower: float = 0.0
     gamma0_cap: float = 64.0
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if self.epsilon <= 0.0:
             raise DomainError("epsilon must be positive")
-        if self.gamma0_lower < 0.0:
-            raise DomainError("gamma0_lower must be nonnegative")
-        if self.gamma0_cap <= self.gamma0_lower:
-            raise DomainError("gamma0_cap must exceed gamma0_lower")
+        if self.gamma0_cap <= 0.0:
+            raise DomainError("gamma0_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,12 +95,10 @@ def _bisect(
     return lo, hi, iterations
 
 
-def _grow_bracket(
-    predicate: Callable[[float], bool], start: float, cap: float, what: str
-) -> float:
-    """First of start, 2 start, 4 start, ... (clipped to cap) where the
-    predicate fails; raises BracketError if it still holds at cap."""
-    upper = start
+def _grow_bracket(predicate: Callable[[float], bool], cap: float, what: str) -> float:
+    """First of 1, 2, 4, ... (clipped to cap) where the predicate fails;
+    raises BracketError if it still holds at cap."""
+    upper = 1.0
     while predicate(upper):
         if upper >= cap:
             raise BracketError(f"{what} at gamma0_cap = {cap}")
@@ -117,9 +112,10 @@ def find_optimal_threshold(
     """EE-optimal gating threshold by bisection on the trend indicator.
 
     The upper bracket is grown geometrically from 1 until the indicator is
-    negative; the bracket is then halved, moving the upper end whenever the
-    midpoint indicator is negative or zero. Roots below GATING_RESOLUTION
-    are reported as the ungated regime with a zero threshold.
+    negative; the bracket from 0 is then halved, moving the upper end
+    whenever the midpoint indicator is negative or zero. Roots below
+    GATING_RESOLUTION are reported as the ungated regime with a zero
+    threshold.
     """
     s = settings if settings is not None else SearchSettings()
     ee_baseline = energy_efficiency(params, qos, 0.0, METHOD_CLOSED)
@@ -127,10 +123,7 @@ def find_optimal_threshold(
     def rising(g: float) -> bool:
         return ee_trend(params, qos, g) > 0.0
 
-    upper = _grow_bracket(
-        rising, max(1.0, s.gamma0_lower), s.gamma0_cap, "trend indicator still positive"
-    )
-    bracket = (s.gamma0_lower, upper)
+    bracket = (0.0, _grow_bracket(rising, s.gamma0_cap, "trend indicator still positive"))
     lower, upper, iterations = _bisect(rising, *bracket, s.epsilon)
     mid = 0.5 * (lower + upper)
 
@@ -187,7 +180,7 @@ def invert_effective_capacity(
     def carries(g: float) -> bool:
         return effective_capacity(params, qos, g, method) > mu
 
-    hi = _grow_bracket(carries, 1.0, s.gamma0_cap, "capacity still above mu")
+    hi = _grow_bracket(carries, s.gamma0_cap, "capacity still above mu")
     lo, hi, _ = _bisect(carries, 0.0, hi, s.epsilon)
     return 0.5 * (lo + hi)
 

@@ -46,6 +46,8 @@ class SimConfig:
             raise DomainError("num_slots must be at least 1")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
+        if self.delay_bound is not None and self.delay_bound <= 0.0:
+            raise DomainError("delay_bound must be positive when given")
         if self.warmup_slots is not None and not 0 <= self.warmup_slots < self.num_slots:
             raise DomainError("warmup_slots must lie in [0, num_slots)")
 

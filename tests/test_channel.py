@@ -153,7 +153,7 @@ class TestDensity:
         import dataclasses
 
         p = dataclasses.replace(params, fading_m=m)
-        assert integrate(lambda g: pdf(p, g), 0.0, math.inf) == pytest.approx(1.0, abs=1e-9)
+        assert integrate(lambda g: pdf(p, g), 0.0) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCdf:
@@ -179,8 +179,8 @@ class TestCdf:
 
         p = dataclasses.replace(params, fading_m=3.5)
         for g in (0.4, 1.2):
-            assert cdf(p, g) == pytest.approx(
-                integrate(lambda x: pdf(p, x), 0.0, g), abs=1e-9
+            assert tail_probability(p, g) == pytest.approx(
+                integrate(lambda x: pdf(p, x), g), abs=1e-9
             )
 
     def test_negative_rejected(self, params):

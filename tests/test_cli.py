@@ -106,6 +106,16 @@ class TestOptimize:
         assert main(["optimize", "--theta", "1e-5", "--gamma0-cap", "1.0"]) == 3
         assert capsys.readouterr().err.startswith("error: numerical:")
 
+    def test_no_lower_bracket_option(self, tmp_path, capsys):
+        # The bisection always starts from a zero threshold: a lower bracket
+        # is neither a flag nor a config key.
+        assert main(["optimize", "--theta", "1e-3", "--gamma0-lower", "0.01"]) == 2
+        assert "--gamma0-lower" in capsys.readouterr().err
+        cfg = tmp_path / "lower.cfg"
+        cfg.write_text("gamma0_lower = 0.01\n")
+        assert main(["optimize", "--theta", "1e-3", "--config", str(cfg)]) == 2
+        assert "gamma0_lower" in capsys.readouterr().err
+
 
 class TestThetaThreshold:
     def test_published_boundary(self, capsys):
@@ -322,7 +332,6 @@ NON_DEFAULT = {
     "distance": ("0.5", 0.5),
     "path_loss": ("1e13", 1e13),
     "epsilon": ("1e-6", 1e-6),
-    "gamma0_lower": ("0.25", 0.25),
     "gamma0_cap": ("32", 32.0),
 }
 
@@ -425,6 +434,7 @@ class TestKeysReachLibrary:
     ["invert", "--theta", "1e-4", "--mu", "nan"],
     ["simulate", "--mu", "300e3", "--gamma0", "nan", "--slots", "100"],
     ["simulate", "--mu", "300e3", "--gamma0", "1", "--slots", "100", "--dmax", "nan"],
+    ["simulate", "--mu", "1e6", "--gamma0", "0.5", "--slots", "100", "--dmax=-1"],
     ["analyze", "--theta", "1e-4", "--gamma0", "nan"],
     # finite link values outside the domain
     ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--tx-power", "0"],

@@ -312,13 +312,12 @@ class TestSearchSettings:
     def test_validation(self):
         with pytest.raises(DomainError):
             SearchSettings(epsilon=0.0)
-        with pytest.raises(DomainError):
-            SearchSettings(gamma0_lower=-1.0)
-        with pytest.raises(DomainError):
-            SearchSettings(gamma0_cap=0.0, gamma0_lower=1.0)
+        for cap in (0.0, -1.0):
+            with pytest.raises(DomainError, match="gamma0_cap must be positive"):
+                SearchSettings(gamma0_cap=cap)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["epsilon", "gamma0_lower", "gamma0_cap"])
+    @pytest.mark.parametrize("field", ["epsilon", "gamma0_cap"])
     def test_nonfinite_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             SearchSettings(**{field: value})

@@ -102,6 +102,9 @@ class TestRun:
             config(params, 1e5, 0.5, num_slots=100, warmup_slots=100)
         with pytest.raises(DomainError, match="seed must be nonnegative"):
             config(params, 1e5, 0.5, seed=-1)
+        for bound in (0.0, -1.0):
+            with pytest.raises(DomainError, match="delay_bound must be positive"):
+                config(params, 1e5, 0.5, delay_bound=bound)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["arrival_rate", "gamma0", "delay_bound"])

@@ -39,7 +39,6 @@ from .optimize import (
     GATING_RESOLUTION,
     OptimumResult,
     Regime,
-    SearchSettings,
     find_optimal_threshold,
     find_theta_threshold,
     invert_effective_capacity,

@@ -24,17 +24,14 @@ _METHODS = (METHOD_EXACT, METHOD_CLOSED)
 
 @dataclass(frozen=True)
 class QosSpec:
-    """Delay-QoS requirement: per-bit exponent theta, optional delay bound."""
+    """Delay-QoS requirement: the per-bit decay exponent theta."""
 
     theta: float
-    delay_bound: float | None = None
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if self.theta <= 0.0:
             raise DomainError("theta must be positive")
-        if self.delay_bound is not None and self.delay_bound <= 0.0:
-            raise DomainError("delay_bound must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,10 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
         raise DomainError(
             f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-m / params.exponent_rate:.4e}"
         )
-    log_tail = (
-        a * (math.log(params.mean_snr) - math.log(m))
-        + math.log(upper_incomplete_gamma(m + a, m * gamma0))
-        - math.lgamma(m)
-    )
+    tail = upper_incomplete_gamma(m + a, m * gamma0)
+    if tail == 0.0:
+        raise DomainError(f"Gamma({m + a:.6g}, {m * gamma0:.6g}) underflows the float range")
+    log_tail = a * (math.log(params.mean_snr) - math.log(m)) + math.log(tail) - math.lgamma(m)
     if p_idle == 0.0:
         return log_tail
     return _logaddexp(math.log(p_idle), log_tail)
@@ -114,7 +110,10 @@ def _log_mgf(
     def kernel(g: np.ndarray) -> np.ndarray:
         return np.exp(a * np.log1p(snr * g)) * pdf(params, g)
 
-    return math.log(p_idle + integrate(kernel, gamma0))
+    f = p_idle + integrate(kernel, gamma0)
+    if f == 0.0:
+        raise DomainError(f"F rounds to 0 at theta = {theta:.6g}, gamma0 = {gamma0:.6g}")
+    return math.log(f)
 
 
 def log_service_mgf(
@@ -184,18 +183,20 @@ def _trend(
     return -swing * log_mgf * math.exp(log_mgf) - (1.0 - kernel) * power
 
 
-def delay_outage_estimate(qos: QosSpec, p_buffer_nonempty: float, theta_seconds: float) -> float:
-    """Large-deviations estimate of P(delay > delay_bound).
+def delay_outage_estimate(
+    p_buffer_nonempty: float, theta_seconds: float, delay_bound: float
+) -> float:
+    """Large-deviations estimate of P(delay > delay_bound), delay_bound in s.
 
     theta_seconds is the per-second decay exponent; a constant-rate source
     served at capacity uses theta * arrival_rate. p_buffer_nonempty is the
     probability the transmit buffer is backlogged at a random slot.
     """
-    if qos.delay_bound is None:
-        raise DomainError("delay_bound missing from QosSpec")
+    if not delay_bound > 0.0:  # NaN included
+        raise DomainError(f"delay_bound must be positive, got {delay_bound}")
     if not 0.0 <= p_buffer_nonempty <= 1.0:
         raise DomainError(f"p_buffer_nonempty must be in [0, 1], got {p_buffer_nonempty}")
-    return p_buffer_nonempty * math.exp(-theta_seconds * qos.delay_bound)
+    return p_buffer_nonempty * math.exp(-theta_seconds * delay_bound)
 
 
 def analyze(

@@ -37,32 +37,24 @@ from .errors import (
     QuadratureError,
     QueueOverflowError,
 )
-from .optimize import (
-    SearchSettings,
-    find_optimal_threshold,
-    find_theta_threshold,
-    invert_effective_capacity,
-    sweep,
-)
+from .optimize import find_optimal_threshold, find_theta_threshold, invert_effective_capacity, sweep
 from .sim import SimConfig, run as run_sim
 
 _LINK = default_params()
-_SEARCH = SearchSettings()
 
 
 def _key(field_name: str) -> str:
-    """The config key of a SystemParams or SearchSettings field."""
+    """The config key of a SystemParams field."""
     return "distance" if field_name == "distance_km" else field_name
 
 
-# Reference-link and search defaults in canonical units (W, W/Hz, seconds,
-# linear), taken from the library so the two cannot drift apart.
+# Reference-link defaults in canonical units (W, W/Hz, seconds, linear),
+# taken from the library so the two cannot drift apart.
 _DEFAULTS: dict[str, float | int | None] = {
     **{_key(f.name): getattr(_LINK, f.name) for f in fields(SystemParams)},
     "path_loss": None,  # the reference link is fixed by its distance
     "theta": None,
     "dmax": None,
-    **{f.name: getattr(_SEARCH, f.name) for f in fields(SearchSettings)},
     "mu": None,
     "gamma0": None,
     "slots": 200_000,
@@ -154,9 +146,9 @@ def _config(args: argparse.Namespace) -> dict[str, float | int | None]:
     return values
 
 
-def _build(cls, cfg: dict):
-    """A SystemParams or SearchSettings from the configuration."""
-    return cls(**{f.name: cfg[_key(f.name)] for f in fields(cls)})
+def _params(cfg: dict) -> SystemParams:
+    """The SystemParams of the configuration."""
+    return SystemParams(**{f.name: cfg[_key(f.name)] for f in fields(SystemParams)})
 
 
 def _require(cfg: dict, key: str) -> float:
@@ -190,7 +182,7 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
-    qos = QosSpec(theta=_require(cfg, "theta"), delay_bound=cfg["dmax"])
+    qos = QosSpec(theta=_require(cfg, "theta"))
     method = METHOD_EXACT if args.exact else METHOD_CLOSED
     result = analyze(params, qos, _require(cfg, "gamma0"), method=method)
     return [{
@@ -209,7 +201,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: dict, params: SystemParams) -> l
 
 def _cmd_optimize(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
     qos = QosSpec(theta=_require(cfg, "theta"))
-    result = find_optimal_threshold(params, qos, _build(SearchSettings, cfg))
+    result = find_optimal_threshold(params, qos)
     return [{
         "theta": qos.theta,
         "regime": result.regime.value,
@@ -229,7 +221,7 @@ def _cmd_theta_threshold(args: argparse.Namespace, cfg: dict, params: SystemPara
 def _cmd_invert(args: argparse.Namespace, cfg: dict, params: SystemParams) -> list[dict]:
     qos = QosSpec(theta=_require(cfg, "theta"))
     mu = _require(cfg, "mu")
-    gamma0 = invert_effective_capacity(params, qos, mu, _build(SearchSettings, cfg))
+    gamma0 = invert_effective_capacity(params, qos, mu)
     return [{"theta": qos.theta, "mu_bps": mu, "gamma0_bound": gamma0}]
 
 
@@ -273,13 +265,12 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict, params: SystemParams) -> 
         "max_queue_bits": report.max_queue,
         "mean_power_w": report.mean_power,
     }
-    theta = cfg["theta"]
-    if sim.delay_bound is not None and theta is not None:
+    if sim.delay_bound is not None and cfg["theta"] is not None:
         # Tail estimate alongside the direct measurement; the per-second
         # exponent for a constant-rate source at capacity is theta * mu.
-        qos = QosSpec(theta=theta, delay_bound=sim.delay_bound)
+        qos = QosSpec(theta=cfg["theta"])
         row["delay_outage_estimate"] = delay_outage_estimate(
-            qos, report.p_b_hat, theta * sim.arrival_rate
+            report.p_b_hat, qos.theta * sim.arrival_rate, sim.delay_bound
         )
     return [row]
 
@@ -291,7 +282,7 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
         "--paper-defaults",
         action="store_true",
         help="refuse a config file, so only the built-in defaults (the reference "
-        "link, epsilon = 1e-8) and the flags apply",
+        "link) and the flags apply",
     )
     sub.add_argument("--out", help="write CSV (or JSON with --json) to this file")
     sub.add_argument("--json", action="store_true", help="emit one JSON document and nothing else")
@@ -346,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # argparse exits on usage errors and --help
             return int(exc.code or 0)
         cfg = _config(args)
-        _emit(args.fn(args, cfg, _build(SystemParams, cfg)), args)
+        _emit(args.fn(args, cfg, _params(cfg)), args)
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

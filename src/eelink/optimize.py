@@ -6,6 +6,8 @@ sign change and plain bisection finds it. The positive region shrinks toward
 zero as the QoS exponent grows; once the optimal threshold falls below the
 gating resolution the run is classified as the ungated regime (threshold
 zero), which is also the predicate the exponent-boundary search bisects on.
+The threshold searches grow their bracket 1, 2, 4, ... up to 64 and bisect
+it to a width of 1e-8; these tolerances are fixed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
     DomainError,
     InfeasibleRateError,
     PreconditionError,
-    _require_finite,
 )
 
 # Thresholds below this scale are operationally indistinguishable from no
@@ -39,25 +40,13 @@ from .errors import (
 # sign, the same test the optimizer applies to call a run gated.
 GATING_RESOLUTION = 1.8e-3
 
+_EPSILON = 1e-8
+_GAMMA0_CAP = 64.0
+
 
 class Regime(enum.Enum):
     GATED = "gated"        # interior optimum; gating improves EE
     UNGATED = "ungated"    # best threshold is zero at the stated resolution
-
-
-@dataclass(frozen=True)
-class SearchSettings:
-    """Bisection tolerance and bracket limits for the threshold searches."""
-
-    epsilon: float = 1e-8
-    gamma0_cap: float = 64.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.epsilon <= 0.0:
-            raise DomainError("epsilon must be positive")
-        if self.gamma0_cap <= 0.0:
-            raise DomainError("gamma0_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,15 +67,10 @@ def _bisect(
 ) -> tuple[float, float, int]:
     """Halve [lo, hi] until it is at most `width` wide, keeping the predicate
     true at lo and false at hi; returns the final (lo, hi) and the number of
-    halvings. Raises BracketError once the midpoint rounds onto an end, which
-    happens only when `width` is below the float spacing there."""
+    halvings."""
     iterations = 0
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            raise BracketError(
-                f"bisection reached adjacent floats at width {hi - lo:.3g}, above {width:.3g}"
-            )
         if predicate(mid):
             lo = mid
         else:
@@ -95,20 +79,18 @@ def _bisect(
     return lo, hi, iterations
 
 
-def _grow_bracket(predicate: Callable[[float], bool], cap: float, what: str) -> float:
-    """First of 1, 2, 4, ... (clipped to cap) where the predicate fails;
-    raises BracketError if it still holds at cap."""
+def _grow_bracket(predicate: Callable[[float], bool], what: str) -> float:
+    """First of 1, 2, 4, ..., _GAMMA0_CAP where the predicate fails; raises
+    BracketError if it still holds at the cap."""
     upper = 1.0
     while predicate(upper):
-        if upper >= cap:
-            raise BracketError(f"{what} at gamma0_cap = {cap}")
-        upper = min(2.0 * upper, cap)
+        if upper >= _GAMMA0_CAP:
+            raise BracketError(f"{what} at gamma0 = {_GAMMA0_CAP}")
+        upper = min(2.0 * upper, _GAMMA0_CAP)
     return upper
 
 
-def find_optimal_threshold(
-    params: SystemParams, qos: QosSpec, settings: SearchSettings | None = None
-) -> OptimumResult:
+def find_optimal_threshold(params: SystemParams, qos: QosSpec) -> OptimumResult:
     """EE-optimal gating threshold by bisection on the trend indicator.
 
     The upper bracket is grown geometrically from 1 until the indicator is
@@ -117,14 +99,13 @@ def find_optimal_threshold(
     GATING_RESOLUTION are reported as the ungated regime with a zero
     threshold.
     """
-    s = settings if settings is not None else SearchSettings()
     ee_baseline = energy_efficiency(params, qos, 0.0, METHOD_CLOSED)
 
     def rising(g: float) -> bool:
         return ee_trend(params, qos, g) > 0.0
 
-    bracket = (0.0, _grow_bracket(rising, s.gamma0_cap, "trend indicator still positive"))
-    lower, upper, iterations = _bisect(rising, *bracket, s.epsilon)
+    bracket = (0.0, _grow_bracket(rising, "trend indicator still positive"))
+    lower, upper, iterations = _bisect(rising, *bracket, _EPSILON)
     mid = 0.5 * (lower + upper)
 
     if mid < GATING_RESOLUTION:
@@ -158,16 +139,11 @@ def find_theta_threshold(params: SystemParams, theta_lo: float, theta_hi: float)
 
 
 def invert_effective_capacity(
-    params: SystemParams,
-    qos: QosSpec,
-    mu: float,
-    settings: SearchSettings | None = None,
-    method: str = METHOD_CLOSED,
+    params: SystemParams, qos: QosSpec, mu: float, method: str = METHOD_CLOSED
 ) -> float:
     """Largest threshold at which the effective capacity still reaches the
     arrival rate mu (bits/s). The capacity is strictly decreasing in the
     threshold, so bisection applies directly."""
-    s = settings if settings is not None else SearchSettings()
     if not mu > 0.0:  # NaN included
         raise DomainError("mu must be positive")
     capacity_at_zero = effective_capacity(params, qos, 0.0, method)
@@ -180,8 +156,8 @@ def invert_effective_capacity(
     def carries(g: float) -> bool:
         return effective_capacity(params, qos, g, method) > mu
 
-    hi = _grow_bracket(carries, s.gamma0_cap, "capacity still above mu")
-    lo, hi, _ = _bisect(carries, 0.0, hi, s.epsilon)
+    hi = _grow_bracket(carries, "capacity still above mu")
+    lo, hi, _ = _bisect(carries, 0.0, hi, _EPSILON)
     return 0.5 * (lo + hi)
 
 

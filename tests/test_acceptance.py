@@ -11,7 +11,6 @@ import pytest
 from eelink import (
     QosSpec,
     Regime,
-    SearchSettings,
     SimConfig,
     analyze,
     default_params,
@@ -56,9 +55,8 @@ def report(line):
 
 @report("criterion 1: optimal thresholds and EE values across the QoS table")
 def test_criterion_1_table_reproduction():
-    settings = SearchSettings(epsilon=1e-8)
     for theta, g_ref, ee_ref, ee0_ref in TABLE_ROWS:
-        r = find_optimal_threshold(PARAMS, QosSpec(theta=theta), settings)
+        r = find_optimal_threshold(PARAMS, QosSpec(theta=theta))
         assert r.regime is Regime.GATED
         assert abs(r.gamma0_opt - g_ref) <= 1e-3, (theta, r.gamma0_opt)
         assert abs(r.ee_opt - ee_ref) / ee_ref <= 5e-3, (theta, r.ee_opt)

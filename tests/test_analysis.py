@@ -331,27 +331,24 @@ class TestTrendIndicator:
 
 class TestDelayOutage:
     def test_no_decay(self):
-        qos = QosSpec(theta=1e-4, delay_bound=1.0)
-        assert delay_outage_estimate(qos, 1.0, 0.0) == 1.0
+        assert delay_outage_estimate(1.0, 0.0, 1.0) == 1.0
 
     def test_empty_buffer(self):
-        qos = QosSpec(theta=1e-4, delay_bound=1.0)
-        assert delay_outage_estimate(qos, 0.0, 500.0) == 0.0
+        assert delay_outage_estimate(0.0, 500.0, 1.0) == 0.0
 
     def test_direct_evaluation(self):
-        qos = QosSpec(theta=1e-4, delay_bound=0.01)
-        assert delay_outage_estimate(qos, 0.5, 230.0) == pytest.approx(
+        assert delay_outage_estimate(0.5, 230.0, 0.01) == pytest.approx(
             0.5 * math.exp(-2.3), rel=1e-12
         )
 
-    def test_missing_bound(self):
-        with pytest.raises(DomainError):
-            delay_outage_estimate(QosSpec(theta=1e-4), 0.5, 100.0)
+    def test_bad_bound(self):
+        for bound in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="delay_bound must be positive"):
+                delay_outage_estimate(0.5, 100.0, bound)
 
     def test_bad_probability(self):
-        qos = QosSpec(theta=1e-4, delay_bound=0.01)
         with pytest.raises(DomainError):
-            delay_outage_estimate(qos, 1.5, 100.0)
+            delay_outage_estimate(1.5, 100.0, 0.01)
 
 
 class TestAnalyze:
@@ -383,12 +380,49 @@ class TestQosSpec:
             QosSpec(theta=0.0)
         with pytest.raises(DomainError):
             QosSpec(theta=-1e-4)
-        with pytest.raises(DomainError):
-            QosSpec(theta=1e-4, delay_bound=0.0)
 
     @pytest.mark.parametrize("value", NONFINITE)
     def test_nonfinite_rejected(self, value):
         with pytest.raises(DomainError, match="theta must be finite"):
             QosSpec(theta=value)
-        with pytest.raises(DomainError, match="delay_bound must be finite"):
-            QosSpec(theta=1e-4, delay_bound=value)
+
+
+class TestFloatRange:
+    """Points whose floats leave the range raise DomainError, each magnitude
+    confirmed by mpmath."""
+
+    def test_closed_form_tail_underflows(self, params):
+        # theta = 1e-4, gamma0 = 400: Gamma(1.974, 800) is about 2.5e-345.
+        mpmath = pytest.importorskip("mpmath")
+        v = params.fading_m + params.exponent_rate * 1e-4
+        z = params.fading_m * 400.0
+        assert -345 < mpmath.log10(mpmath.gammainc(v, z)) < -344
+        assert upper_incomplete_gamma(v, z) == 0.0
+        with pytest.raises(DomainError, match="underflows the float range"):
+            analyze(params, QosSpec(theta=1e-4), 400.0)
+
+    @pytest.mark.parametrize("gamma0", [0.01, 0.0018])
+    def test_closed_form_tail_overflows(self, params, gamma0):
+        # theta = 1: Gamma(-257.685, 0.02) is about 10^435 and at the gating
+        # resolution about 10^627; theta-threshold --theta-hi 1 meets the
+        # second.
+        mpmath = pytest.importorskip("mpmath")
+        v = params.fading_m + params.exponent_rate
+        z = params.fading_m * gamma0
+        assert mpmath.log10(mpmath.gammainc(v, z)) > 435  # float max is 1.8e308
+        with pytest.raises(DomainError, match="passes the float range"):
+            upper_incomplete_gamma(v, z)
+        with pytest.raises(DomainError, match="passes the float range"):
+            ee_trend(params, QosSpec(theta=1.0), gamma0)
+
+    def test_exact_mgf_rounds_to_zero(self, params):
+        # m = 20, theta = 0.627, gamma0 = 0.042: the true idle probability
+        # is 5.65e-21, but 1 - p_tr cancels to 0, and the transmit side is
+        # about 7e-390.
+        mpmath = pytest.importorskip("mpmath")
+        link = dataclasses.replace(params, fading_m=20.0)
+        p_idle = mpmath.gammainc(20, 0, 20 * 0.042, regularized=True)
+        assert float(p_idle) == pytest.approx(5.654e-21, rel=1e-3)
+        assert 1.0 - tail_probability(link, 0.042) == 0.0
+        with pytest.raises(DomainError, match="F rounds to 0"):
+            analyze(link, QosSpec(theta=0.627), 0.042, method=METHOD_EXACT)

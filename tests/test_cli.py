@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,6 @@ import eelink
 from eelink import (
     OptimumResult,
     Regime,
-    SearchSettings,
     SystemParams,
     db_to_linear,
     dbm_to_watt,
@@ -101,11 +101,6 @@ class TestOptimize:
         assert parsed["regime"] == "ungated"
         assert float(parsed["gamma0_opt"]) == 0.0
 
-    def test_numerical_failure_exit_code(self, capsys):
-        # Cap too low for the bracket to close around the optimum.
-        assert main(["optimize", "--theta", "1e-5", "--gamma0-cap", "1.0"]) == 3
-        assert capsys.readouterr().err.startswith("error: numerical:")
-
     def test_no_lower_bracket_option(self, tmp_path, capsys):
         # The bisection always starts from a zero threshold: a lower bracket
         # is neither a flag nor a config key.
@@ -115,6 +110,16 @@ class TestOptimize:
         cfg.write_text("gamma0_lower = 0.01\n")
         assert main(["optimize", "--theta", "1e-3", "--config", str(cfg)]) == 2
         assert "gamma0_lower" in capsys.readouterr().err
+
+    def test_no_search_tolerance_options(self, tmp_path, capsys):
+        # The bisection width and the bracket cap are fixed: neither is a
+        # flag or a config key.
+        assert main(["optimize", "--theta", "1e-4", "--epsilon", "1e-6"]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("gamma0_cap = 32\n")
+        assert main(["optimize", "--theta", "1e-4", "--config", str(cfg)]) == 2
+        assert "gamma0_cap" in capsys.readouterr().err
 
 
 class TestThetaThreshold:
@@ -250,6 +255,11 @@ class TestSimulate:
         assert 0.0 <= measured <= 1.0
         assert 0.0 <= estimate <= 1.0
 
+    def test_numerical_failure_exit_code(self, capsys):
+        # An arrival rate far above capacity trips the queue guard.
+        assert main(["simulate", "--mu", "1e13", "--gamma0", "0.5", "--slots", "500"]) == 3
+        assert capsys.readouterr().err.startswith("error: numerical:")
+
 
 class TestConfigFile:
     def test_file_matches_flags(self, tmp_path, capsys):
@@ -317,10 +327,9 @@ class TestConfigFile:
         assert rc != 0
 
 
-# The config key of each SystemParams / SearchSettings field, and a
-# non-default value for it with the value the library must receive.
+# The config key of each SystemParams field, and a non-default value for it
+# with the value the library must receive.
 SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
-SEARCH_FIELDS = {f.name for f in dataclasses.fields(SearchSettings)}
 NON_DEFAULT = {
     "slot_duration": ("2e-3", 2e-3),
     "bandwidth": ("360e3", 360e3),
@@ -331,8 +340,6 @@ NON_DEFAULT = {
     "fading_m": ("1.5", 1.5),
     "distance": ("0.5", 0.5),
     "path_loss": ("1e13", 1e13),
-    "epsilon": ("1e-6", 1e-6),
-    "gamma0_cap": ("32", 32.0),
 }
 
 
@@ -340,16 +347,16 @@ def field_of(key):
     return "distance_km" if key == "distance" else key
 
 
-LIBRARY_KEYS = [k for k in _DEFAULTS if field_of(k) in SYSTEM_FIELDS | SEARCH_FIELDS]
+LIBRARY_KEYS = [k for k in _DEFAULTS if field_of(k) in SYSTEM_FIELDS]
 
 
 @pytest.fixture
 def received(monkeypatch):
-    """The (params, settings) the optimize command hands the library."""
+    """The params the optimize command hands the library."""
     seen = {}
 
-    def fake(params, qos, settings):
-        seen.update(params=params, settings=settings)
+    def fake(params, qos):
+        seen.update(params=params)
         return OptimumResult(Regime.GATED, 1.0, 1.0, 1.0, 0, (0.0, 1.0))
 
     monkeypatch.setattr("eelink.cli.find_optimal_threshold", fake)
@@ -367,8 +374,7 @@ def optimize_with(key, text, source, tmp_path):
 
 
 def delivered(seen, key):
-    field = field_of(key)
-    return getattr(seen["params"] if field in SYSTEM_FIELDS else seen["settings"], field)
+    return getattr(seen["params"], field_of(key))
 
 
 class TestKeysReachLibrary:
@@ -382,8 +388,7 @@ class TestKeysReachLibrary:
         assert optimize_with(key, text, source, tmp_path) == 0
         value = delivered(received, key)
         assert value == expected
-        defaults = {"params": default_params(), "settings": SearchSettings()}
-        assert value != delivered(defaults, key)
+        assert value != delivered({"params": default_params()}, key)
         if key == "path_loss":
             assert received["params"].distance_km is None
 
@@ -430,7 +435,6 @@ class TestKeysReachLibrary:
     ["sweep", "--theta-list", "nan", "--gamma0-range", "0:1", "--steps", "2", "--quantity", "EE"],
     ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--bandwidth", "inf"],
     ["simulate", "--mu", "300e3", "--gamma0", "1", "--slots", "100", "--seed", "-1"],
-    ["optimize", "--theta", "1e-4", "--epsilon", "nan"],
     ["invert", "--theta", "1e-4", "--mu", "nan"],
     ["simulate", "--mu", "300e3", "--gamma0", "nan", "--slots", "100"],
     ["simulate", "--mu", "300e3", "--gamma0", "1", "--slots", "100", "--dmax", "nan"],
@@ -444,6 +448,13 @@ class TestKeysReachLibrary:
     # no circuit power, and a threshold at which no slot transmits
     ["analyze", "--exact", "--theta", "1e-4", "--circuit-power", "0", "--gamma0", "400"],
     ["simulate", "--mu", "1e5", "--gamma0", "400", "--circuit-power", "0", "--slots", "1000"],
+    # values past the float range: Gamma(1.974, 800) underflows to 0, the
+    # downward recurrence for Gamma(-257.7, z) overflows, and the exact F
+    # rounds to 0 because p_idle = 1 - p_tr cancels
+    ["analyze", "--theta", "1e-4", "--gamma0", "400"],
+    ["analyze", "--theta", "1", "--gamma0", "0.01"],
+    ["theta-threshold", "--theta-hi", "1"],
+    ["analyze", "--exact", "--fading-m", "20", "--theta", "0.627", "--gamma0", "0.042"],
 ], ids=" ".join)
 def test_nonfinite_input_is_a_domain_error(argv, capsys):
     assert main(argv) == 2
@@ -491,3 +502,23 @@ def test_closed_form_call_loads_no_numpy(argv):
 def test_exact_call_loads_numpy():
     argv = ["analyze", "--exact", "--theta", "1e-4", "--gamma0", "1.0"]
     assert fresh_heavy_modules(argv) == [0, ["numpy"]]
+
+
+def readme_examples():
+    """The eelink command lines of the sh block under "Command line" in
+    README.md, backslash continuations joined, as argv lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("eelink ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    examples = readme_examples()
+    assert {argv[0] for argv in examples} == {
+        "analyze", "optimize", "theta-threshold", "invert", "sweep", "simulate"
+    }
+    monkeypatch.chdir(tmp_path)  # so --out lands here
+    for argv in examples:
+        assert main(argv) == 0, argv

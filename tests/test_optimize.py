@@ -14,7 +14,6 @@ from eelink import (
     PreconditionError,
     QosSpec,
     Regime,
-    SearchSettings,
     analyze,
     dbm_to_watt,
     default_params,
@@ -56,7 +55,7 @@ def link(m, distance_km, tx_dbm, circuit_power, idle_fraction):
 class TestFindOptimalThreshold:
     @pytest.mark.parametrize("theta,g_ref,ee_ref,ee0_ref", PUBLISHED_ROWS)
     def test_published_rows(self, params, theta, g_ref, ee_ref, ee0_ref):
-        r = find_optimal_threshold(params, QosSpec(theta=theta), SearchSettings(epsilon=1e-8))
+        r = find_optimal_threshold(params, QosSpec(theta=theta))
         assert r.regime is Regime.GATED
         assert abs(r.gamma0_opt - g_ref) <= 1e-3
         assert r.ee_opt == pytest.approx(ee_ref, rel=5e-3)
@@ -77,7 +76,7 @@ class TestFindOptimalThreshold:
         eps = 1e-8
         for theta in (1e-4, 1e-6):
             qos = QosSpec(theta=theta)
-            r = find_optimal_threshold(params, qos, SearchSettings(epsilon=eps))
+            r = find_optimal_threshold(params, qos)
             assert ee_trend(params, qos, r.gamma0_opt - 10 * eps) > 0.0
             assert ee_trend(params, qos, r.gamma0_opt + 10 * eps) < 0.0
 
@@ -114,24 +113,10 @@ class TestFindOptimalThreshold:
             assert r.ee_opt >= max(value for _, _, value in rows)
 
     def test_bracket_failure(self, params):
+        # The exact capacity at theta = 1e-4 is still above 1e-60 bits/s at
+        # gamma0 = 64, where the bracket stops growing.
         with pytest.raises(BracketError):
-            find_optimal_threshold(
-                params, QosSpec(theta=1e-5), SearchSettings(gamma0_cap=1.0)
-            )
-
-    def test_unreachable_epsilon_stops_at_float_spacing(self, params, qos_1e4, monkeypatch):
-        # Below the float spacing the midpoint rounds onto an end, which ends
-        # the search after about 53 halvings rather than looping on.
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return ee_trend(*args)
-
-        monkeypatch.setattr("eelink.optimize.ee_trend", counted)
-        with pytest.raises(BracketError, match="adjacent floats"):
-            find_optimal_threshold(params, qos_1e4, SearchSettings(epsilon=1e-20))
-        assert len(calls) <= 60
+            invert_effective_capacity(params, QosSpec(theta=1e-4), 1e-60, method=METHOD_EXACT)
 
     def test_any_fading_m(self, params, qos_1e4):
         rician_like = dataclasses.replace(params, fading_m=3.0)
@@ -230,11 +215,6 @@ class TestInvertEffectiveCapacity:
         with pytest.raises(DomainError):
             invert_effective_capacity(params, qos_1e4, -5.0)
 
-    def test_unreachable_epsilon_hits_iteration_guard(self, params, qos_1e4):
-        # Below the float spacing of the bracket the width stops shrinking.
-        with pytest.raises(BracketError, match="adjacent floats"):
-            invert_effective_capacity(params, qos_1e4, 1e6, SearchSettings(epsilon=1e-20))
-
 
 class TestSweep:
     def test_ee_argmax_matches_optimum(self, params):
@@ -307,17 +287,3 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(params, [1e-4], (0.0, 1.0), "entropy", 10)
 
-
-class TestSearchSettings:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SearchSettings(epsilon=0.0)
-        for cap in (0.0, -1.0):
-            with pytest.raises(DomainError, match="gamma0_cap must be positive"):
-                SearchSettings(gamma0_cap=cap)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["epsilon", "gamma0_cap"])
-    def test_nonfinite_rejected(self, field, value):
-        with pytest.raises(DomainError, match=f"{field} must be finite"):
-            SearchSettings(**{field: value})

@@ -16,7 +16,7 @@ PUBLIC = {
     "BracketError", "ConfigError", "DomainError", "InfeasibleRateError",
     "PreconditionError", "QuadratureError", "QueueOverflowError",
     # optimize
-    "GATING_RESOLUTION", "OptimumResult", "Regime", "SearchSettings",
+    "GATING_RESOLUTION", "OptimumResult", "Regime",
     "find_optimal_threshold", "find_theta_threshold", "invert_effective_capacity", "sweep",
     # sim
     "QUEUE_GUARD_BITS", "SimConfig", "SimReport", "delay_outage_curve",

@@ -1,12 +1,20 @@
 """Command-line front end.
 
-Subcommands: analyze, optimize, theta-threshold, invert, sweep, simulate.
 Configuration comes from built-in defaults (the reference link), an optional
 flat key = value config file, and command-line flags, in that precedence
-order. Power values accept explicit unit suffixes (43dBm, 0.1W). Results are
-CSV, a single row preceded on stdout by its labeled key = value fields; with
---json they are one JSON document and nothing else. --out writes the CSV or
-JSON to a file instead of stdout.
+order. A config file accepts every key. Each subcommand takes as flags,
+spelled in full, the link keys (the SystemParams fields) and the run keys it
+reads:
+
+    analyze   --theta --gamma0    invert                  --theta --mu
+    optimize  --theta             theta-threshold, sweep  none
+    simulate  --theta --dmax --mu --gamma0 --slots --seed --warmup
+
+simulate reads --theta only with --dmax, for delay_outage_estimate. Power
+values accept explicit unit suffixes (43dBm, 0.1W). Results are CSV, a single
+row preceded on stdout by its labeled key = value fields; with --json they
+are one JSON document and nothing else. --out writes the CSV or JSON to a
+file instead of stdout.
 
 Exit codes: 0 success, 2 configuration or domain error, 3 numerical failure,
 4 infeasible input.
@@ -18,6 +26,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import partial
 from typing import Callable
 
 from .analysis import (
@@ -50,6 +59,7 @@ def _key(field_name: str) -> str:
 
 # Reference-link defaults in canonical units (W, W/Hz, seconds, linear),
 # taken from the library so the two cannot drift apart.
+_LINK_KEYS = tuple(_key(f.name) for f in fields(SystemParams))  # flags of every subcommand
 _DEFAULTS: dict[str, float | int | None] = {
     **{_key(f.name): getattr(_LINK, f.name) for f in fields(SystemParams)},
     "path_loss": None,  # the reference link is fixed by its distance
@@ -100,7 +110,7 @@ def _read_config_file(path: str) -> dict[str, float | int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, rawline in enumerate(lines, start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -135,15 +145,21 @@ def _config(args: argparse.Namespace) -> dict[str, float | int | None]:
     values = dict(_DEFAULTS)
     if args.config:
         _overlay(values, _read_config_file(args.config))
-    flags = {key: getattr(args, f"opt_{key}") for key in _DEFAULTS}
+    flags = {key: getattr(args, f"opt_{key}", None) for key in _DEFAULTS}
     _overlay(values, {k: _parse_value(k, v) for k, v in flags.items() if v is not None})
     if args.dump_config:
-        with open(args.dump_config, "w", encoding="utf-8") as fh:
-            fh.write("# effective configuration (canonical units: W, W/Hz, s, linear)\n")
-            for key, value in values.items():
-                if value is not None:
-                    fh.write(f"{key} = {value!r}\n")
+        lines = ["# effective configuration (canonical units: W, W/Hz, s, linear)"]
+        lines += [f"{key} = {value!r}" for key, value in values.items() if value is not None]
+        _write(args.dump_config, "\n".join(lines) + "\n")
     return values
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _params(cfg: dict) -> SystemParams:
@@ -175,8 +191,7 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
         lines = [",".join(rows[0])] + [",".join(_fmt(v) for v in row.values()) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         print(text, end="")
 
@@ -275,7 +290,9 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict, params: SystemParams) -> 
     return [row]
 
 
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
+def _add_options(sub: argparse.ArgumentParser, fn: Callable, *run_keys: str) -> None:
+    """Set fn to run sub, with the shared options and flags for the link keys and run_keys."""
+    sub.set_defaults(fn=fn)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--config", help="flat key = value configuration file")
     group.add_argument(
@@ -287,7 +304,7 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write CSV (or JSON with --json) to this file")
     sub.add_argument("--json", action="store_true", help="emit one JSON document and nothing else")
     sub.add_argument("--dump-config", help="write the effective configuration to this file")
-    for key in _DEFAULTS:
+    for key in (*_LINK_KEYS, *run_keys):
         sub.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}", metavar="V")
 
 
@@ -298,34 +315,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("analyze", help="analytics at one (theta, gamma0) point")
+    add = partial(subs.add_parser, allow_abbrev=False)  # a prefix could name another flag
+    p = add("analyze", help="analytics at one (theta, gamma0) point")
     p.add_argument("--exact", action="store_true", help="use quadrature instead of the closed form")
-    p.set_defaults(fn=_cmd_analyze)
+    _add_options(p, _cmd_analyze, "theta", "gamma0")
 
-    p = subs.add_parser("optimize", help="EE-optimal threshold for one theta")
-    p.set_defaults(fn=_cmd_optimize)
+    p = add("optimize", help="EE-optimal threshold for one theta")
+    _add_options(p, _cmd_optimize, "theta")
 
-    p = subs.add_parser("theta-threshold", help="QoS-exponent regime boundary")
+    p = add("theta-threshold", help="QoS-exponent regime boundary")
     p.add_argument("--theta-lo", type=float, default=1e-5)
     p.add_argument("--theta-hi", type=float, default=1e-2)
-    p.set_defaults(fn=_cmd_theta_threshold)
+    _add_options(p, _cmd_theta_threshold)
 
-    p = subs.add_parser("invert", help="largest threshold sustaining an arrival rate")
-    p.set_defaults(fn=_cmd_invert)
+    p = add("invert", help="largest threshold sustaining an arrival rate")
+    _add_options(p, _cmd_invert, "theta", "mu")
 
-    p = subs.add_parser("sweep", help="grid evaluation over theta and gamma0")
+    p = add("sweep", help="grid evaluation over theta and gamma0")
     p.add_argument("--theta-list", required=True, help="comma-separated theta values")
     p.add_argument("--gamma0-range", required=True, help="LO:HI")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--quantity", choices=["EE", "alpha", "G", "F"], required=True)
     p.add_argument("--exact", action="store_true")
-    p.set_defaults(fn=_cmd_sweep)
+    _add_options(p, _cmd_sweep)
 
-    p = subs.add_parser("simulate", help="Monte Carlo run of the slotted queue")
-    p.set_defaults(fn=_cmd_simulate)
-
-    for sub in subs.choices.values():
-        _add_common_options(sub)
+    p = add("simulate", help="Monte Carlo run of the slotted queue")
+    _add_options(p, _cmd_simulate, "theta", "dmax", "mu", "gamma0", "slots", "seed", "warmup")
     return parser
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -326,6 +327,69 @@ class TestConfigFile:
         rc = main(["optimize", "--config", str(cfg), "--paper-defaults"])
         assert rc != 0
 
+    def test_dump_of_one_subcommand_configures_another(self, tmp_path, capsys):
+        # analyze takes no --mu or --slots flag, but its config file may set them.
+        dumped = tmp_path / "scenario.cfg"
+        assert main([
+            "simulate", "--mu", "300e3", "--gamma0", "0.5323", "--slots", "1000",
+            "--dmax", "0.01", "--theta", "1e-4", "--dump-config", str(dumped),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(dumped)]) == 0
+        from_file, _ = fields(capsys)
+        assert main(["analyze", "--theta", "1e-4", "--gamma0", "0.5323"]) == 0
+        from_flags, _ = fields(capsys)
+        assert from_file == from_flags
+
+    @pytest.mark.parametrize("option", ["--out", "--dump-config"])
+    def test_unwritable_file_is_a_config_error(self, option, tmp_path, capsys):
+        target = tmp_path / "missing" / "result"
+        assert main(["optimize", "--theta", "1e-4", option, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot write")
+        assert "\n" not in err.strip()
+
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"theta = 1e-4\xff\n")
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot read config file")
+        assert "\n" not in err.strip()
+
+
+# The run keys each subcommand reads; every subcommand also takes the link keys.
+RUN_KEYS = {
+    "analyze": {"theta", "gamma0"},
+    "optimize": {"theta"},
+    "theta-threshold": set(),
+    "invert": {"theta", "mu"},
+    "sweep": set(),
+    "simulate": {"theta", "dmax", "mu", "gamma0", "slots", "seed", "warmup"},
+}
+
+
+class TestKeyFlags:
+    @pytest.mark.parametrize("command", RUN_KEYS)
+    def test_help_lists_link_and_read_run_keys(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--([a-z0-9-]+) V\b", capsys.readouterr().out))
+        link = {key.replace("_", "-") for key in LIBRARY_KEYS}
+        assert listed == link | {key.replace("_", "-") for key in RUN_KEYS[command]}
+        assert len(link) == 9
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-threshold", "--theta", "5"],
+        ["sweep", "--theta-list", "1e-4", "--gamma0-range", "0:1", "--steps", "2",
+         "--quantity", "EE", "--theta", "1e-3"],
+        ["analyze", "--theta", "1e-4", "--gamma0", "0.5", "--mu", "1"],
+        # a prefix of a flag is not that flag
+        ["analyze", "--gamma0", "0.5", "--thet", "1e-4"],
+    ], ids=" ".join)
+    def test_unread_or_abbreviated_flag_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
 
 # The config key of each SystemParams field, and a non-default value for it
 # with the value the library must receive.
@@ -364,8 +428,11 @@ def received(monkeypatch):
 
 
 def optimize_with(key, text, source, tmp_path):
-    """main() on optimize with one key set by flag or by config file."""
+    """main() on optimize with one key set by flag or by config file; on
+    simulate for slots, which optimize takes no flag for."""
     argv = ["optimize", "--theta", "1e-4"]
+    if key == "slots":
+        argv = ["simulate", "--mu", "300e3", "--gamma0", "0.5"]
     if source == "flag":
         return main(argv + [f"--{key.replace('_', '-')}={text}"])
     cfg = tmp_path / "one.cfg"

@@ -116,6 +116,19 @@ def _log_mgf(
     return math.log(f)
 
 
+def _mgf(log_mgf: float) -> float:
+    # E[exp(-theta s)] from its log, the one place it is exponentiated. At low
+    # mean SNR the closed form's log can pass the float range (its F is not
+    # bounded by 1 there).
+    try:
+        return math.exp(log_mgf)
+    except OverflowError:
+        raise DomainError(
+            f"service moment exp({log_mgf:.6g}) passes the float range; the closed form "
+            "does not hold at this mean SNR"
+        ) from None
+
+
 def log_service_mgf(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
@@ -128,7 +141,7 @@ def service_mgf(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """E[exp(-theta s)], in (0, 1) for any positive theta and threshold."""
-    return math.exp(log_service_mgf(params, qos, gamma0, method))
+    return _mgf(log_service_mgf(params, qos, gamma0, method))
 
 
 def effective_capacity(
@@ -164,7 +177,7 @@ def ee_trend(
 
     Its sign matches the sign of d(EE)/d(gamma0): positive while raising the
     threshold still helps, negative once it hurts. Cheap to evaluate in
-    closed form, so the optimizer bisects on it instead of differencing EE.
+    closed form, so the optimizer searches on it instead of differencing EE.
     Unlike EE it stays defined at a total power of 0 W.
     """
     _, p_idle, power = _modes(params, gamma0)
@@ -180,7 +193,60 @@ def _trend(
     a = params.exponent_rate * theta
     swing = params.tx_power - params.idle_power
     kernel = (1.0 + params.mean_snr * gamma0) ** a
-    return -swing * log_mgf * math.exp(log_mgf) - (1.0 - kernel) * power
+    return -swing * log_mgf * _mgf(log_mgf) - (1.0 - kernel) * power
+
+
+def _mgf_and_slope(
+    params: SystemParams, theta: float, gamma0: float, method: str
+) -> tuple[float, float, float, float | None]:
+    # (log F, total power, gain density, dF/dgamma0) at gamma0, the pieces
+    # the two slopes below share. dF/dgamma0 = pdf(gamma0) (1 - k_F), with
+    # k_F the kernel inside F at gamma0: (snr gamma0)^a for the closed form,
+    # (1 + snr gamma0)^a for the exact route. It is None where k_F passes the
+    # float range (the closed form's, at gamma0 = 0 or snr gamma0 far below
+    # 1); a search halves there.
+    _, p_idle, power = _modes(params, gamma0)
+    log_mgf = _log_mgf(params, theta, gamma0, p_idle, method)
+    density = pdf(params, gamma0)
+    a = params.exponent_rate * theta
+    snr_g = params.mean_snr * gamma0
+    try:
+        kernel = (snr_g if method == METHOD_CLOSED else 1.0 + snr_g) ** a
+    except (OverflowError, ZeroDivisionError):
+        return log_mgf, power, density, None
+    return log_mgf, power, density, density * (1.0 - kernel)
+
+
+def _capacity_and_slope(
+    params: SystemParams, theta: float, gamma0: float, method: str
+) -> tuple[float, float | None]:
+    # effective_capacity and its derivative in gamma0, -F' / (theta T F).
+    log_mgf, _, _, mgf_slope = _mgf_and_slope(params, theta, gamma0, method)
+    scale = theta * params.slot_duration
+    slope = None if mgf_slope is None else -mgf_slope / (scale * _mgf(log_mgf))
+    return -log_mgf / scale, slope
+
+
+def _trend_and_slope(
+    params: SystemParams, theta: float, gamma0: float, method: str
+) -> tuple[float, float | None]:
+    # ee_trend and its derivative in gamma0. With k = (1 + snr gamma0)^a and
+    # P' = -pdf swing, G = -swing F log F - (1 - k) P differentiates to
+    # -swing F' (log F + 1) + k' P + (1 - k) pdf swing.
+    log_mgf, power, density, mgf_slope = _mgf_and_slope(params, theta, gamma0, method)
+    trend = _trend(params, theta, gamma0, log_mgf, power)
+    if mgf_slope is None:
+        return trend, None
+    a = params.exponent_rate * theta
+    swing = params.tx_power - params.idle_power
+    base = 1.0 + params.mean_snr * gamma0
+    kernel = base**a
+    slope = (
+        -swing * mgf_slope * (log_mgf + 1.0)
+        + a * params.mean_snr * kernel / base * power
+        + (1.0 - kernel) * density * swing
+    )
+    return trend, slope
 
 
 def delay_outage_estimate(
@@ -218,7 +284,7 @@ def analyze(
         p_idle=p_idle,
         total_power=power,
         ee=alpha / power,
-        service_mgf=math.exp(log_mgf),
+        service_mgf=_mgf(log_mgf),
         ee_trend=_trend(params, qos.theta, gamma0, log_mgf, power),
         log_mgf=log_mgf,
     )

@@ -124,15 +124,23 @@ def default_params() -> SystemParams:
 
 def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
     """Density of the unit-mean channel power gain at the given point, or
-    elementwise over an array of points (then an array comes back)."""
+    elementwise over an array of points (then an array comes back). A Python
+    float takes a path in `math` alone, so scalar callers load no numpy."""
+    m = params.fading_m
+    # In log space, so m^m and g^(m - 1) cannot overflow. At g = 0 the power
+    # term is -inf or +inf as m is above or below 1, giving density 0 or inf.
+    if isinstance(gain, float):
+        if gain < 0.0:
+            raise DomainError(f"gain must be nonnegative, got {gain}")
+        power = 0.0
+        if m != 1.0:
+            power = (m - 1.0) * (math.log(gain) if gain > 0.0 else -math.inf)
+        return math.exp(m * math.log(m) - math.lgamma(m) + power - m * gain)
     import numpy as np
 
     g = np.asarray(gain, dtype=float)
     if (g < 0.0).any():
         raise DomainError(f"gain must be nonnegative, got {g.min()}")
-    m = params.fading_m
-    # In log space, so m^m and g^(m - 1) cannot overflow. At g = 0 the power
-    # term is -inf or +inf as m is above or below 1, giving density 0 or inf.
     power = 0.0
     if m != 1.0:
         with np.errstate(divide="ignore"):

@@ -181,18 +181,19 @@ def _fmt(x) -> str:
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
     """Write the rows to --out or stdout: as JSON with --json, else as CSV,
-    which a single row precedes on stdout with its labeled fields."""
+    which a single row precedes on stdout with its labeled fields. The file
+    is written first, so a failed write prints nothing."""
     if args.json:
         text = json.dumps(rows[0] if len(rows) == 1 else rows, indent=2) + "\n"
     else:
-        if len(rows) == 1:
-            for key, value in rows[0].items():
-                print(f"{key} = {_fmt(value)}")
         lines = [",".join(rows[0])] + [",".join(_fmt(v) for v in row.values()) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out:
         _write(args.out, text)
-    else:
+    if not args.json and len(rows) == 1:
+        for key, value in rows[0].items():
+            print(f"{key} = {_fmt(value)}")
+    if not args.out:
         print(text, end="")
 
 
@@ -292,7 +293,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict, params: SystemParams) -> 
 
 def _add_options(sub: argparse.ArgumentParser, fn: Callable, *run_keys: str) -> None:
     """Set fn to run sub, with the shared options and flags for the link keys and run_keys."""
-    sub.set_defaults(fn=fn)
+    sub.set_defaults(fn=fn, subparser=sub)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--config", help="flat key = value configuration file")
     group.add_argument(
@@ -348,7 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args, unread = parser.parse_known_args(argv)
+            if unread:  # with the subcommand's usage, which lists the flags it takes
+                args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
         except SystemExit as exc:  # argparse exits on usage errors and --help
             return int(exc.code or 0)
         cfg = _config(args)

@@ -2,12 +2,18 @@
 
 The energy efficiency rises with the gating threshold exactly while the
 trend indicator stays positive, so the optimal threshold is the indicator's
-sign change and plain bisection finds it. The positive region shrinks toward
-zero as the QoS exponent grows; once the optimal threshold falls below the
-gating resolution the run is classified as the ungated regime (threshold
-zero), which is also the predicate the exponent-boundary search bisects on.
-The threshold searches grow their bracket 1, 2, 4, ... up to 64 and bisect
-it to a width of 1e-8; these tolerances are fixed.
+sign change. The positive region shrinks toward zero as the QoS exponent
+grows; a run whose indicator is not positive at the gating resolution is
+classified as the ungated regime (threshold zero), which is also the
+predicate the exponent-boundary search bisects on.
+
+All three searches share one bracketed root finder. The two threshold
+searches hand it the analytic slope of the trend indicator or of the
+effective capacity, which costs no further incomplete gamma or quadrature,
+so most of its steps are safeguarded Newton steps; the boundary search has
+no slope in theta and halves. The threshold searches grow their bracket
+1, 2, 4, ... up to 64 and narrow it to a width of 1e-8; these tolerances
+are fixed.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from typing import Callable
 from .analysis import (
     METHOD_CLOSED,
     QosSpec,
+    _capacity_and_slope,
+    _trend_and_slope,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -42,6 +50,11 @@ GATING_RESOLUTION = 1.8e-3
 
 _EPSILON = 1e-8
 _GAMMA0_CAP = 64.0
+# A search costs at most this many evaluations more than bisection. Newton
+# steps that approach the root from one side leave the bracket wide until
+# the closing probe; on random links across the documented domain that
+# spent up to 7 of them, so a bound of 8 cut none of those searches short.
+_EXTRA_EVALS = 8
 
 
 class Regime(enum.Enum):
@@ -51,8 +64,10 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class OptimumResult:
-    """Outcome of the threshold search; bracket is the initial interval the
-    bisection started from (its upper end already has a negative trend)."""
+    """Outcome of the threshold search. bracket is the interval the search
+    started from: the trend is positive at its lower end and not at its
+    upper end. iterations counts every trend evaluation made, the check at
+    GATING_RESOLUTION and the bracket's growth included."""
 
     regime: Regime
     gamma0_opt: float
@@ -62,56 +77,85 @@ class OptimumResult:
     bracket: tuple[float, float]
 
 
-def _bisect(
-    predicate: Callable[[float], bool], lo: float, hi: float, width: float
+def _search(
+    f: Callable[[float], tuple[float, float | None]], lo: float, hi: float, width: float
 ) -> tuple[float, float, int]:
-    """Halve [lo, hi] until it is at most `width` wide, keeping the predicate
-    true at lo and false at hi; returns the final (lo, hi) and the number of
-    halvings."""
-    iterations = 0
+    """Narrow [lo, hi] until it is at most `width` wide, keeping f > 0 at lo
+    and f <= 0 at hi; returns the final (lo, hi) and the number of
+    evaluations of f.
+
+    f returns its value and its slope. From each point the search takes the
+    Newton step where it lands inside the bracket and is at most half the
+    step before last (the safeguard of rtsafe, Numerical Recipes 3rd ed.,
+    9.4), and halves the bracket otherwise, or where f gives no slope. A
+    Newton step toward the root shorter than half the width becomes a probe
+    0.75 width from the point, which closes the bracket when the root lies
+    within it. Any step but a halving is taken only while halvings alone
+    could still finish within _EXTRA_EVALS evaluations more than bisection
+    needs, as in the ITP method (Oliveira & Takahashi, ACM TOMS 47, 2020):
+    where f is flat to within its rounding, Newton steps and probes go
+    astray, and this bound holds them in.
+    """
+    budget = _EXTRA_EVALS + math.ceil(math.log2(max(hi - lo, width) / width))
+    evals = 0
+    x = 0.5 * (lo + hi)
+    step = before = hi - lo  # the last two step lengths
     while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
+        value, slope = f(x)
+        evals += 1
+        if value > 0.0:
+            lo, inward = x, 1.0  # the root lies this way from x
         else:
-            hi = mid
-        iterations += 1
-    return lo, hi, iterations
+            hi, inward = x, -1.0
+        newton = -value / slope if slope else math.nan
+        if not hi - lo <= width * 2.0 ** (budget - evals - 1):
+            target = 0.5 * (lo + hi)
+        elif 0.0 <= newton * inward < 0.5 * width:
+            target = x + inward * 0.75 * width
+        elif lo < x + newton < hi and abs(newton) <= 0.5 * before:
+            target = x + newton
+        else:
+            target = 0.5 * (lo + hi)
+        before, step = step, abs(target - x)
+        x = target
+    return lo, hi, evals
 
 
-def _grow_bracket(predicate: Callable[[float], bool], what: str) -> float:
-    """First of 1, 2, 4, ..., _GAMMA0_CAP where the predicate fails; raises
-    BracketError if it still holds at the cap."""
-    upper = 1.0
+def _grow_bracket(predicate: Callable[[float], bool], what: str) -> tuple[float, int]:
+    """First of 1, 2, 4, ..., _GAMMA0_CAP where the predicate fails, and the
+    number of points tried; raises BracketError if it still holds at the
+    cap."""
+    upper, tried = 1.0, 1
     while predicate(upper):
         if upper >= _GAMMA0_CAP:
             raise BracketError(f"{what} at gamma0 = {_GAMMA0_CAP}")
-        upper = min(2.0 * upper, _GAMMA0_CAP)
-    return upper
+        upper, tried = min(2.0 * upper, _GAMMA0_CAP), tried + 1
+    return upper, tried
 
 
 def find_optimal_threshold(params: SystemParams, qos: QosSpec) -> OptimumResult:
-    """EE-optimal gating threshold by bisection on the trend indicator.
+    """EE-optimal gating threshold: the sign change of the trend indicator.
 
-    The upper bracket is grown geometrically from 1 until the indicator is
-    negative; the bracket from 0 is then halved, moving the upper end
-    whenever the midpoint indicator is negative or zero. Roots below
-    GATING_RESOLUTION are reported as the ungated regime with a zero
-    threshold.
+    A run whose indicator is not positive at GATING_RESOLUTION is the
+    ungated regime, with a zero threshold and no search. Otherwise the upper
+    end is grown geometrically from 1 until the indicator is not positive,
+    and the search narrows [GATING_RESOLUTION, upper end] on the indicator
+    and its slope.
     """
     ee_baseline = energy_efficiency(params, qos, 0.0, METHOD_CLOSED)
 
-    def rising(g: float) -> bool:
-        return ee_trend(params, qos, g) > 0.0
+    def trend(g: float) -> tuple[float, float | None]:
+        return _trend_and_slope(params, qos.theta, g, METHOD_CLOSED)
 
-    bracket = (0.0, _grow_bracket(rising, "trend indicator still positive"))
-    lower, upper, iterations = _bisect(rising, *bracket, _EPSILON)
+    if not trend(GATING_RESOLUTION)[0] > 0.0:
+        bracket = (0.0, GATING_RESOLUTION)
+        return OptimumResult(Regime.UNGATED, 0.0, ee_baseline, ee_baseline, 1, bracket)
+    upper, tried = _grow_bracket(lambda g: trend(g)[0] > 0.0, "trend indicator still positive")
+    bracket = (GATING_RESOLUTION, upper)
+    lower, upper, evals = _search(trend, *bracket, _EPSILON)
     mid = 0.5 * (lower + upper)
-
-    if mid < GATING_RESOLUTION:
-        return OptimumResult(Regime.UNGATED, 0.0, ee_baseline, ee_baseline, iterations, bracket)
     ee_opt = energy_efficiency(params, qos, mid, METHOD_CLOSED)
-    return OptimumResult(Regime.GATED, mid, ee_opt, ee_baseline, iterations, bracket)
+    return OptimumResult(Regime.GATED, mid, ee_opt, ee_baseline, 1 + tried + evals, bracket)
 
 
 def find_theta_threshold(params: SystemParams, theta_lo: float, theta_hi: float) -> float:
@@ -119,22 +163,23 @@ def find_theta_threshold(params: SystemParams, theta_lo: float, theta_hi: float)
 
     The boundary is where the trend indicator at the gating resolution
     changes sign, the test find_optimal_threshold applies to call a run
-    gated. Bisects in log theta to relative width 1e-4; the indicator must
-    be positive at theta_lo and not at theta_hi.
+    gated. Bisects in log theta to relative width 1e-4, since the indicator
+    has no closed-form slope in theta; it must be positive at theta_lo and
+    not at theta_hi.
     """
     if not 0.0 < theta_lo < theta_hi:
         raise DomainError("need 0 < theta_lo < theta_hi")
 
-    def gated(log_theta: float) -> bool:
-        return ee_trend(params, QosSpec(theta=math.exp(log_theta)), GATING_RESOLUTION) > 0.0
+    def trend(log_theta: float) -> tuple[float, None]:
+        return ee_trend(params, QosSpec(theta=math.exp(log_theta)), GATING_RESOLUTION), None
 
     lo, hi = math.log(theta_lo), math.log(theta_hi)
-    if not gated(lo):
+    if not trend(lo)[0] > 0.0:
         raise PreconditionError(f"no gated regime at theta_lo = {theta_lo}")
-    if gated(hi):
+    if trend(hi)[0] > 0.0:
         raise PreconditionError(f"still gated at theta_hi = {theta_hi}")
 
-    lo, hi, _ = _bisect(gated, lo, hi, math.log1p(1e-4))
+    lo, hi, _ = _search(trend, lo, hi, math.log1p(1e-4))
     return 0.5 * (math.exp(lo) + math.exp(hi))
 
 
@@ -143,7 +188,8 @@ def invert_effective_capacity(
 ) -> float:
     """Largest threshold at which the effective capacity still reaches the
     arrival rate mu (bits/s). The capacity is strictly decreasing in the
-    threshold, so bisection applies directly."""
+    threshold, so its crossing of mu is bracketed from a zero threshold and
+    narrowed on the capacity and its slope."""
     if not mu > 0.0:  # NaN included
         raise DomainError("mu must be positive")
     capacity_at_zero = effective_capacity(params, qos, 0.0, method)
@@ -153,11 +199,12 @@ def invert_effective_capacity(
             f"{capacity_at_zero:.6g} bits/s"
         )
 
-    def carries(g: float) -> bool:
-        return effective_capacity(params, qos, g, method) > mu
+    def excess(g: float) -> tuple[float, float | None]:
+        capacity, slope = _capacity_and_slope(params, qos.theta, g, method)
+        return capacity - mu, slope
 
-    hi = _grow_bracket(carries, "capacity still above mu")
-    lo, hi, _ = _bisect(carries, 0.0, hi, _EPSILON)
+    hi, _ = _grow_bracket(lambda g: excess(g)[0] > 0.0, "capacity still above mu")
+    lo, hi, _ = _search(excess, 0.0, hi, _EPSILON)
     return 0.5 * (lo + hi)
 
 

@@ -329,6 +329,46 @@ class TestTrendIndicator:
                 ), f"sign mismatch at theta={theta}, gamma0={g}"
 
 
+class TestSlopes:
+    """The analytic slopes in gamma0 that the threshold searches use,
+    against a centred difference of the values."""
+
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0, 5.5, 20.0])
+    def test_match_centred_difference(self, params, m, method):
+        link = dataclasses.replace(params, fading_m=m)
+        swing = link.tx_power - link.idle_power
+        eps = np.finfo(float).eps
+        for theta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 5e-3):
+            qos = QosSpec(theta=theta)
+            slopes = {
+                "F": lambda g: analysis._mgf_and_slope(link, theta, g, method)[3],
+                "alpha": lambda g: analysis._capacity_and_slope(link, theta, g, method)[1],
+                "G": lambda g: analysis._trend_and_slope(link, theta, g, method)[1],
+            }
+            values = {
+                "F": lambda g: service_mgf(link, qos, g, method),
+                "alpha": lambda g: effective_capacity(link, qos, g, method),
+                "G": lambda g: ee_trend(link, qos, g, method),
+            }
+            for g in (1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
+                r = analyze(link, qos, g, method)
+                f, log_f = r.service_mgf, r.log_mgf
+                # Absolute rounding of each value: F inherits that of
+                # p_idle = 1 - p_tr, a few ulps of 1, and the rest follows.
+                noise = {
+                    "F": 1.0,
+                    "alpha": 1.0 / (f * theta * link.slot_duration),
+                    "G": swing * (abs(log_f + 1.0) + f * abs(log_f)) + r.total_power,
+                }
+                h = 1e-4 * g
+                for name, value in values.items():
+                    centred = (value(g + h) - value(g - h)) / (2.0 * h)
+                    assert slopes[name](g) == pytest.approx(
+                        centred, rel=1e-6, abs=64 * eps * noise[name] / h
+                    ), (name, theta, g)
+
+
 class TestDelayOutage:
     def test_no_decay(self):
         assert delay_outage_estimate(1.0, 0.0, 1.0) == 1.0

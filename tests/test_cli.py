@@ -103,8 +103,8 @@ class TestOptimize:
         assert float(parsed["gamma0_opt"]) == 0.0
 
     def test_no_lower_bracket_option(self, tmp_path, capsys):
-        # The bisection always starts from a zero threshold: a lower bracket
-        # is neither a flag nor a config key.
+        # The search's lower end is fixed: a lower bracket is neither a flag
+        # nor a config key.
         assert main(["optimize", "--theta", "1e-3", "--gamma0-lower", "0.01"]) == 2
         assert "--gamma0-lower" in capsys.readouterr().err
         cfg = tmp_path / "lower.cfg"
@@ -349,6 +349,11 @@ class TestConfigFile:
         assert err.startswith("error: config: cannot write")
         assert "\n" not in err.strip()
 
+    def test_failed_write_prints_no_result(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "result.csv"
+        assert main(["optimize", "--theta", "1e-4", "--out", str(target)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"theta = 1e-4\xff\n")
@@ -388,7 +393,10 @@ class TestKeyFlags:
     ], ids=" ".join)
     def test_unread_or_abbreviated_flag_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 2
-        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]}" in err
+        # the usage of the subcommand, which lists the flags it does take
+        assert err.startswith(f"usage: eelink {argv[0]} ")
 
 
 # The config key of each SystemParams field, and a non-default value for it
@@ -522,6 +530,13 @@ class TestKeysReachLibrary:
     ["analyze", "--theta", "1", "--gamma0", "0.01"],
     ["theta-threshold", "--theta-hi", "1"],
     ["analyze", "--exact", "--fading-m", "20", "--theta", "0.627", "--gamma0", "0.042"],
+    # at low mean SNR the closed-form log-MGF passes 709, so F = exp(log-MGF)
+    # passes the float range
+    ["analyze", "--theta", "0.5", "--gamma0", "0.01", "--tx-power", "1e-6"],
+    ["sweep", "--theta-list", "0.5", "--gamma0-range", "0.01:1", "--steps", "3",
+     "--tx-power", "1e-6", "--quantity", "F"],
+    ["sweep", "--theta-list", "0.5", "--gamma0-range", "0.01:1", "--steps", "3",
+     "--tx-power", "1e-6", "--quantity", "G"],
 ], ids=" ".join)
 def test_nonfinite_input_is_a_domain_error(argv, capsys):
     assert main(argv) == 2

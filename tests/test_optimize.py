@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eelink import (
+    GATING_RESOLUTION,
+    METHOD_CLOSED,
     METHOD_EXACT,
     BracketError,
     DomainError,
@@ -26,6 +28,9 @@ from eelink import (
     service_mgf,
     sweep,
 )
+from eelink import optimize
+from eelink.analysis import _capacity_and_slope, _trend_and_slope
+from eelink.optimize import _EXTRA_EVALS, _grow_bracket, _search
 
 # (theta, optimal threshold, max EE, baseline EE) published for the
 # reference link; thresholds match to 1e-3, EE values to 0.5%.
@@ -127,16 +132,122 @@ class TestFindOptimalThreshold:
         assert ee_trend(rician_like, qos_1e4, r.gamma0_opt + 1e-6) < 0.0
         assert r.ee_opt > r.ee_baseline
 
-    def test_iterations_are_reported(self, params, qos_1e4):
+    def test_iterations_are_reported(self, params, qos_1e4, monkeypatch):
+        evaluated = []
+
+        def counted(*args):
+            evaluated.append(args[2])
+            return _trend_and_slope(*args)
+
+        monkeypatch.setattr(optimize, "_trend_and_slope", counted)
         r = find_optimal_threshold(params, qos_1e4)
-        assert r.iterations > 10
+        # Bisection of [0, 1] takes 27 halvings: 28 trend evaluations with the
+        # bracket's growth.
+        assert r.iterations == len(evaluated) < 28
         assert r.bracket[0] <= r.gamma0_opt <= r.bracket[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.5, 20.0]),
+        distance_km=st.floats(min_value=0.3, max_value=2.0),
+        tx_dbm=st.floats(min_value=30.0, max_value=46.0),
+        log10_circuit=st.floats(min_value=-4.0, max_value=0.0),
+        idle_fraction=st.floats(min_value=0.0, max_value=0.01),
+        log10_theta=st.floats(min_value=-7.0, max_value=math.log10(5e-3)),
+    )
+    @example(m=2.0, distance_km=1.0, tx_dbm=43.0, log10_circuit=-1.0, idle_fraction=0.0,
+             log10_theta=math.log10(7.2e-4))
+    def test_ungated_exactly_when_trend_at_resolution_is_not_positive(
+        self, m, distance_km, tx_dbm, log10_circuit, idle_fraction, log10_theta
+    ):
+        params = link(m, distance_km, tx_dbm, 10.0**log10_circuit, idle_fraction)
+        qos = QosSpec(theta=10.0**log10_theta)
+        try:
+            r = find_optimal_threshold(params, qos)
+        except (DomainError, BracketError):
+            assume(False)  # baseline outside the closed form's domain, or no bracket
+        ungated = ee_trend(params, qos, GATING_RESOLUTION) <= 0.0
+        assert (r.regime is Regime.UNGATED) == ungated
+
+
+class TestSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.5, 20.0]),
+        distance_km=st.floats(min_value=0.3, max_value=2.0),
+        tx_dbm=st.floats(min_value=30.0, max_value=46.0),
+        log10_circuit=st.floats(min_value=-4.0, max_value=0.0),
+        idle_fraction=st.floats(min_value=0.0, max_value=0.01),
+        log10_theta=st.floats(min_value=-7.0, max_value=math.log10(5e-3)),
+        rate_fraction=st.floats(min_value=0.01, max_value=0.99),
+        method=st.sampled_from([METHOD_CLOSED, METHOD_EXACT]),
+    )
+    def test_certificate_and_cost(
+        self, m, distance_km, tx_dbm, log10_circuit, idle_fraction, log10_theta,
+        rate_fraction, method,
+    ):
+        # Both threshold searches: the final bracket is at most 1e-8 wide
+        # with the sign certificate at both ends, and takes at most four
+        # evaluations more than bisection of the same bracket.
+        params = link(m, distance_km, tx_dbm, 10.0**log10_circuit, idle_fraction)
+        theta = 10.0**log10_theta
+
+        def trend(g):
+            return _trend_and_slope(params, theta, g, method)
+
+        try:
+            mu = rate_fraction * _capacity_and_slope(params, theta, 0.0, method)[0]
+        except DomainError:
+            assume(False)
+
+        def excess(g):
+            capacity, slope = _capacity_and_slope(params, theta, g, method)
+            return capacity - mu, slope
+
+        searched = 0
+        for f, lo in ((trend, GATING_RESOLUTION), (excess, 0.0)):
+            try:
+                if not f(lo)[0] > 0.0:
+                    continue
+                hi, _ = _grow_bracket(lambda g: f(g)[0] > 0.0, "test")
+                lower, upper, evals = _search(f, lo, hi, 1e-8)
+            except (DomainError, BracketError):
+                continue
+            *_, halvings = _search(lambda g: (f(g)[0], None), lo, hi, 1e-8)
+            assert upper - lower <= 1e-8
+            assert f(lower)[0] > 0.0 >= f(upper)[0]
+            assert evals <= halvings + 4
+            searched += 1
+        assume(searched)
+
+    @pytest.mark.parametrize("root", [0.3, 0.5 + 3e-9, 0.9, 1.0 - 1e-9])
+    def test_misleading_slopes_cost_a_bounded_few_more_evaluations(self, root):
+        # A step function whose slope always puts the root a quarter of the
+        # width ahead: each probe misses, so without the budget the search
+        # would creep toward the root 0.75e-8 at a time.
+        width = 1e-8
+
+        def f(x):
+            return (1.0 if x < root else -1.0), -4.0 / width
+
+        lower, upper, evals = _search(f, 0.0, 1.0, width)
+        *_, halvings = _search(lambda x: (f(x)[0], None), 0.0, 1.0, width)
+        assert lower < root <= upper
+        assert upper - lower <= width
+        assert evals <= halvings + _EXTRA_EVALS
 
 
 class TestFindThetaThreshold:
     def test_published_boundary(self, params):
         t = find_theta_threshold(params, 1e-5, 1e-2)
         assert t == pytest.approx(7.219e-4, rel=1e-2)
+
+    def test_bisection_is_unchanged(self, params):
+        # The trend has no closed-form slope in theta, so every step halves;
+        # the boundary keeps the bits plain bisection gave.
+        assert find_theta_threshold(params, 1e-5, 1e-2) == 0.0007186505989959361
+        link3 = dataclasses.replace(params, fading_m=3.0)
+        assert find_theta_threshold(link3, 1e-5, 1e-2) == 0.0007145717916871379
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -20,6 +20,9 @@ from .special import integrate, upper_incomplete_gamma
 METHOD_EXACT = "exact_quadrature"
 METHOD_CLOSED = "closed_form"
 _METHODS = (METHOD_EXACT, METHOD_CLOSED)
+# The per-point quantities a sweep can return: energy efficiency, effective
+# capacity, trend indicator and service decay moment.
+QUANTITIES = ("EE", "alpha", "G", "F")
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,17 @@ def service_mgf(
     return _mgf(log_service_mgf(params, qos, gamma0, method))
 
 
+def _capacity(params: SystemParams, theta: float, log_mgf: float) -> float:
+    # Effective capacity in bits/s from the log-MGF.
+    return -log_mgf / (theta * params.slot_duration)
+
+
 def effective_capacity(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Largest sustainable constant arrival rate in bits/s under the QoS
     exponent, for the service gated at the given threshold."""
-    log_mgf = log_service_mgf(params, qos, gamma0, method)
-    return -log_mgf / (qos.theta * params.slot_duration)
+    return _capacity(params, qos.theta, log_service_mgf(params, qos, gamma0, method))
 
 
 def _modes(params: SystemParams, gamma0: float) -> tuple[float, float, float]:
@@ -163,11 +170,48 @@ def _modes(params: SystemParams, gamma0: float) -> tuple[float, float, float]:
     return p_tr, p_idle, power
 
 
+def _require_power(gamma0: float, power: float) -> None:
+    if power == 0.0:
+        raise DomainError(
+            f"total power is 0 W at gamma0 = {gamma0}: no circuit or idle power, and "
+            "the transmit probability underflows, so the energy efficiency is undefined"
+        )
+
+
+def _formula(
+    params: SystemParams, theta: float, gamma0: float, log_mgf: float, power: float,
+    quantity: str,
+) -> float:
+    # One of QUANTITIES at a point, from its log-MGF and total power: the one
+    # copy of the four formulas, which analyze and _point share. EE, like F
+    # and G, raises where the service moment passes the float range.
+    alpha = _capacity(params, theta, log_mgf)
+    if quantity == "alpha":
+        return alpha
+    if quantity == "G":
+        return _trend(params, theta, gamma0, log_mgf, power)
+    mgf = _mgf(log_mgf)
+    return mgf if quantity == "F" else alpha / power
+
+
+def _point(
+    params: SystemParams, theta: float, gamma0: float, quantity: str, method: str,
+    modes: tuple[float, float, float],
+) -> float:
+    # One of QUANTITIES at a point whose _modes are given, so a sweep can
+    # share them across theta; EE needs a nonzero total power.
+    _, p_idle, power = modes
+    if quantity == "EE":
+        _require_power(gamma0, power)
+    log_mgf = _log_mgf(params, theta, gamma0, p_idle, method)
+    return _formula(params, theta, gamma0, log_mgf, power, quantity)
+
+
 def energy_efficiency(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Effective capacity per consumed watt, bits/Joule."""
-    return analyze(params, qos, gamma0, method).ee
+    return _point(params, qos.theta, gamma0, "EE", method, _modes(params, gamma0))
 
 
 def ee_trend(
@@ -180,9 +224,7 @@ def ee_trend(
     closed form, so the optimizer searches on it instead of differencing EE.
     Unlike EE it stays defined at a total power of 0 W.
     """
-    _, p_idle, power = _modes(params, gamma0)
-    log_mgf = _log_mgf(params, qos.theta, gamma0, p_idle, method)
-    return _trend(params, qos.theta, gamma0, log_mgf, power)
+    return _point(params, qos.theta, gamma0, "G", method, _modes(params, gamma0))
 
 
 def _trend(
@@ -224,7 +266,7 @@ def _capacity_and_slope(
     log_mgf, _, _, mgf_slope = _mgf_and_slope(params, theta, gamma0, method)
     scale = theta * params.slot_duration
     slope = None if mgf_slope is None else -mgf_slope / (scale * _mgf(log_mgf))
-    return -log_mgf / scale, slope
+    return _capacity(params, theta, log_mgf), slope
 
 
 def _trend_and_slope(
@@ -270,22 +312,18 @@ def analyze(
 ) -> AnalysisResult:
     """Bundle every per-point quantity into one result."""
     p_tr, p_idle, power = _modes(params, gamma0)
-    if power == 0.0:
-        raise DomainError(
-            f"total power is 0 W at gamma0 = {gamma0}: no circuit or idle power, and "
-            "the transmit probability underflows, so the energy efficiency is undefined"
-        )
+    _require_power(gamma0, power)
     log_mgf = _log_mgf(params, qos.theta, gamma0, p_idle, method)
-    alpha = -log_mgf / (qos.theta * params.slot_duration)
+    value = {q: _formula(params, qos.theta, gamma0, log_mgf, power, q) for q in QUANTITIES}
     return AnalysisResult(
         gamma0=gamma0,
-        effective_capacity=alpha,
+        effective_capacity=value["alpha"],
         p_tr=p_tr,
         p_idle=p_idle,
         total_power=power,
-        ee=alpha / power,
-        service_mgf=_mgf(log_mgf),
-        ee_trend=_trend(params, qos.theta, gamma0, log_mgf, power),
+        ee=value["EE"],
+        service_mgf=value["F"],
+        ee_trend=value["G"],
         log_mgf=log_mgf,
     )
 

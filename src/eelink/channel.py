@@ -150,13 +150,29 @@ def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
 
 
 def tail_probability(params: SystemParams, threshold: float) -> float:
-    """P(gain >= threshold): regularized upper incomplete gamma at rate m."""
-    if threshold < 0.0:
-        raise DomainError(f"threshold must be nonnegative, got {threshold}")
+    """P(gain >= threshold): the regularized upper incomplete gamma
+    Q(m, m * threshold), never above 1.
+
+    For an integer m and z = m * threshold below 700 it is the finite sum
+    Q(m, z) = e^-z sum_{k<m} z^k / k! (DLMF 8.4), which needs no incomplete
+    gamma call; otherwise Gamma(m, z) / Gamma(m), as e^-z nears the float
+    range's lower end past 700. A negative or non-finite threshold raises
+    DomainError.
+    """
+    if not 0.0 <= threshold < math.inf:  # NaN included
+        raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
     if threshold == 0.0:
         return 1.0
     m = params.fading_m
-    return upper_incomplete_gamma(m, m * threshold) / math.gamma(m)
+    z = m * threshold
+    if m % 1.0 or z >= 700.0:
+        return upper_incomplete_gamma(m, z) / math.gamma(m)
+    # Horner form of the sum, highest term innermost. The rounding of e^-z
+    # times a sum next to e^z can land just above 1.
+    total = 1.0
+    for k in range(int(m) - 1, 0, -1):
+        total = 1.0 + total * z / k
+    return min(1.0, math.exp(-z) * total)
 
 
 def cdf(params: SystemParams, threshold: float) -> float:

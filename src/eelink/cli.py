@@ -32,6 +32,7 @@ from typing import Callable
 from .analysis import (
     METHOD_CLOSED,
     METHOD_EXACT,
+    QUANTITIES,
     QosSpec,
     analyze,
     delay_outage_estimate,
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-list", required=True, help="comma-separated theta values")
     p.add_argument("--gamma0-range", required=True, help="LO:HI")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--quantity", choices=["EE", "alpha", "G", "F"], required=True)
+    p.add_argument("--quantity", choices=QUANTITIES, required=True)
     p.add_argument("--exact", action="store_true")
     _add_options(p, _cmd_sweep)
 

@@ -25,13 +25,15 @@ from typing import Callable
 
 from .analysis import (
     METHOD_CLOSED,
+    QUANTITIES,
     QosSpec,
     _capacity_and_slope,
+    _modes,
+    _point,
     _trend_and_slope,
     ee_trend,
     effective_capacity,
     energy_efficiency,
-    service_mgf,
 )
 from .channel import SystemParams
 from .errors import (
@@ -219,33 +221,33 @@ def sweep(
     """Dense (theta, gamma0, value) grid, row-major with theta outermost.
 
     quantity is one of EE, alpha, G, F (energy efficiency, effective
-    capacity, trend indicator, service decay moment).
+    capacity, trend indicator, service decay moment). Every argument is
+    checked before any point is evaluated: thetas nonempty and each a valid
+    QoS exponent, gamma0_range finite and increasing, steps an int of at
+    least 2. Each value is, bit for bit, what energy_efficiency,
+    effective_capacity, ee_trend or service_mgf returns at that point, and
+    the first point where that call raises raises the same error. The mode
+    probabilities and power at each gamma0 are computed once for all
+    thetas, and each point computes its service moment once.
     """
     if not thetas:
         raise DomainError("thetas must be nonempty")
-    if steps < 2:
-        raise DomainError("steps must be at least 2")
+    for theta in thetas:
+        QosSpec(theta=theta)  # raises DomainError for a bad theta
     lo, hi = gamma0_range
-    if not lo < hi:
-        raise DomainError("gamma0_range must be increasing")
-
-    def value_at(qos: QosSpec, g: float) -> float:
-        if quantity == "EE":
-            return energy_efficiency(params, qos, g, method)
-        if quantity == "alpha":
-            return effective_capacity(params, qos, g, method)
-        if quantity == "G":
-            return ee_trend(params, qos, g, method)
-        if quantity == "F":
-            return service_mgf(params, qos, g, method)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"gamma0_range must be finite and increasing, got {gamma0_range}")
+    if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")
+    if not isinstance(steps, int) or steps < 2:
+        raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
 
     # numpy.linspace's grid, point for point: i * step + lo, ending on hi.
     step = (hi - lo) / (steps - 1)
     gammas = [i * step + lo for i in range(steps - 1)] + [float(hi)]
-    rows: list[tuple[float, float, float]] = []
-    for theta in thetas:
-        qos = QosSpec(theta=theta)
-        for g in gammas:
-            rows.append((theta, g, value_at(qos, g)))
-    return rows
+    modes = [_modes(params, g) for g in gammas]
+    return [
+        (theta, g, _point(params, theta, g, quantity, method, m))
+        for theta in thetas
+        for g, m in zip(gammas, modes)
+    ]

@@ -6,6 +6,11 @@ It has one route table: orders of 0.01 and above take the standard series /
 continued-fraction split; lower orders take the continued fraction once the
 argument reaches 1.5, and otherwise one downward recurrence from an anchor in
 [0.01, 1.01), with the exponential integral at orders within 1e-8 of 0.
+The series and the fraction run in the innermost loops of every closed-form
+point, so their stopping tests are plain comparisons: the series only ever
+sums positive terms. At an integer shape the regularized tail that the gain
+distribution needs is a finite sum, which `channel.tail_probability` takes
+without calling this module.
 
 `integrate` is the exp-sinh double-exponential rule of Takahasi & Mori
 (Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput. Appl. Math. 127, 2001) on
@@ -37,13 +42,14 @@ _DE_ABS_TOL = 1e-14        # max(_DE_ABS_TOL, _DE_REL_TOL * |sum|)
 
 
 def _lower_series_scaled(v: float, z: float) -> float:
-    # S such that lower_gamma(v, z) = z^v e^-z * S; wants v > 0, z < v + 1.
+    # S such that lower_gamma(v, z) = z^v e^-z * S. Only called with
+    # v >= 0.01 and 0 < z < v + 1, so every term is positive.
     term = 1.0 / v
     total = term
     for k in range(1, _MAX_TERMS):
         term *= z / (v + k)
         total += term
-        if abs(term) <= _TERM_EPS * abs(total):
+        if term <= _TERM_EPS * total:
             return total
     raise QuadratureError(f"incomplete gamma series stalled at v={v}, z={z}")
 
@@ -60,15 +66,15 @@ def _upper_cf_scaled(v: float, z: float) -> float:
         an = -i * (i - v)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = b + an / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= _TERM_EPS:
+        if -_TERM_EPS <= delta - 1.0 <= _TERM_EPS:
             return h
     raise QuadratureError(f"incomplete gamma fraction stalled at v={v}, z={z}")
 

@@ -172,9 +172,11 @@ class TestEnergyEfficiency:
                 expected = analyze(params, qos, g, METHOD_EXACT).ee
                 assert energy_efficiency(params, qos, g, METHOD_EXACT) == expected, (theta, g)
 
-    def test_closed_form_makes_two_incomplete_gamma_calls(self, params, qos_1e4, monkeypatch):
-        # One for the tail probability, shared by the idle mass and the
-        # power, and one for the service moment.
+    def test_closed_form_computes_its_tail_once(self, params, qos_1e4, monkeypatch):
+        # The tail probability is computed once, shared by the idle mass and
+        # the power. At an integer m it is a finite sum, so the service
+        # moment makes the only incomplete gamma call; at any other m the
+        # tail makes a second.
         calls = []
 
         def counted(v, z):
@@ -184,7 +186,10 @@ class TestEnergyEfficiency:
         monkeypatch.setattr(analysis, "upper_incomplete_gamma", counted)
         monkeypatch.setattr(channel, "upper_incomplete_gamma", counted)
         assert energy_efficiency(params, qos_1e4, 0.5323) == pytest.approx(EE_REF, rel=1e-10)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        calls.clear()
+        energy_efficiency(dataclasses.replace(params, fading_m=1.5), qos_1e4, 0.5323)
+        assert [v for v, _ in calls] == [1.5, 1.5 + params.exponent_rate * qos_1e4.theta]
 
     @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
     def test_zero_total_power_is_a_domain_error(self, params, method):

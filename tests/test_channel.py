@@ -188,6 +188,40 @@ class TestCdf:
             cdf(params, -1.0)
 
 
+class TestTailProbability:
+    # At an integer m the tail is the finite sum e^-z sum_{k<m} z^k / k!.
+
+    def test_integer_m_matches_mpmath(self, params):
+        # Relative error against 40-digit mpmath wherever the tail is above
+        # 1e-300, over gamma0 log-spaced from 1e-6 to 300 (z up to 9000, past
+        # where e^-z underflows); and never above 1, which p_idle = 1 - p_tr
+        # and the slope's log rely on.
+        mpmath = pytest.importorskip("mpmath")
+        gammas = [10.0 ** (-6.0 + i * (math.log10(300.0) + 6.0) / 119) for i in range(119)]
+        gammas.append(300.0)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for m in (1, 2, 3, 5, 20, 30):
+                link = dataclasses.replace(params, fading_m=float(m))
+                for g in gammas:
+                    got = tail_probability(link, g)
+                    assert 0.0 <= got <= 1.0, (m, g, got)
+                    want = mpmath.gammainc(m, m * mpmath.mpf(g), regularized=True)
+                    if want >= mpmath.mpf("1e-300"):
+                        worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 20.0, 2.5])
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_threshold_is_a_domain_error(self, params, m, threshold):
+        with pytest.raises(DomainError, match="threshold must be nonnegative and finite"):
+            tail_probability(dataclasses.replace(params, fading_m=m), threshold)
+
+    def test_deep_tail_underflows_to_zero(self, params):
+        # z = 800 at m = 2: the tail, about 1e-345, is below the float range.
+        assert tail_probability(params, 400.0) == 0.0
+
+
 class TestSampler:
     def test_unit_mean(self, params):
         rng = np.random.default_rng(1)

@@ -581,6 +581,13 @@ def test_closed_form_call_loads_no_numpy(argv):
     assert fresh_heavy_modules(argv) == [0, []]
 
 
+@pytest.mark.parametrize("quantity", ["G", "F", "alpha"])
+def test_closed_form_sweep_loads_no_numpy(quantity):
+    argv = ["sweep", "--theta-list", "1e-4,1e-5", "--gamma0-range", "0:3", "--steps", "40",
+            "--quantity", quantity]
+    assert fresh_heavy_modules(argv) == [0, []]
+
+
 def test_exact_call_loads_numpy():
     argv = ["analyze", "--exact", "--theta", "1e-4", "--gamma0", "1.0"]
     assert fresh_heavy_modules(argv) == [0, ["numpy"]]

@@ -398,3 +398,85 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(params, [1e-4], (0.0, 1.0), "entropy", 10)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3", None, 1, -4])
+    def test_steps_must_be_an_int_of_at_least_2(self, params, steps):
+        with pytest.raises(DomainError, match="steps must be an int of at least 2"):
+            sweep(params, [1e-4], (0.0, 3.0), "EE", steps)
+
+    @pytest.mark.parametrize("gamma0_range", [
+        (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 1.0),
+    ])
+    def test_range_must_be_finite_and_increasing(self, params, gamma0_range):
+        with pytest.raises(DomainError, match="gamma0_range must be finite and increasing"):
+            sweep(params, [1e-4], gamma0_range, "EE", 10)
+
+    def test_quantity_is_checked_before_any_point(self, params, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(optimize, "_modes", no_points)
+        monkeypatch.setattr(optimize, "_point", no_points)
+        with pytest.raises(DomainError, match="unknown quantity 'entropy'"):
+            sweep(params, [1e-4], (0.0, 1.0), "entropy", 10)
+
+
+PER_POINT = {"EE": energy_efficiency, "alpha": effective_capacity, "G": ee_trend,
+             "F": service_mgf}
+
+
+def outcome(compute):
+    """compute()'s value, or the type and message of what it raised."""
+    try:
+        return compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def point_by_point(params, thetas, gamma0_range, quantity, steps, method):
+    """sweep's rows from the per-point function, stopping at the first
+    point that raises, as sweep does."""
+    gammas = np.linspace(*gamma0_range, steps).tolist()
+    return [
+        (theta, g, PER_POINT[quantity](params, QosSpec(theta=theta), g, method))
+        for theta in thetas
+        for g in gammas
+    ]
+
+
+@pytest.mark.parametrize("quantity", sorted(PER_POINT))
+@pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
+class TestSweepMatchesPerPoint:
+    # A sweep shares each gamma0's mode probabilities across theta; its
+    # rows must be what the per-point functions return, bit for bit, and
+    # it must fail where they fail, with the same error.
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 5.5])
+    def test_rows_equal(self, params, quantity, method, m):
+        fading = dataclasses.replace(params, fading_m=m)
+        steps = 13 if method == METHOD_CLOSED else 4
+        args = (fading, [1e-5, 1e-3], (0.0, 3.0), quantity, steps, method)
+        rows = sweep(*args)
+        assert rows == point_by_point(*args)
+
+    def test_low_snr_overflow(self, params, quantity, method):
+        # At tx_power 1e-6 and theta = 0.5 the closed-form log-MGF passes
+        # 709 at gamma0 = 0.01, so F, and G and EE with it, pass the float
+        # range; the capacity stays finite.
+        weak = dataclasses.replace(params, tx_power=1e-6)
+        args = (weak, [1e-4, 0.5], (0.01, 1.0), quantity, 3, method)
+        got = outcome(lambda: sweep(*args))
+        assert got == outcome(lambda: point_by_point(*args))
+        overflows = method == METHOD_CLOSED and quantity != "alpha"
+        assert (got[0] is DomainError and "passes the float range" in got[1]) == overflows
+
+    def test_zero_total_power(self, params, quantity, method):
+        # No circuit or idle power, and no slot transmits at gamma0 = 400,
+        # so EE is undefined there. The closed form's Gamma(m + a, 800)
+        # underflows at that point as well, so there the other three
+        # quantities raise too, with that error.
+        idle = dataclasses.replace(params, circuit_power=0.0)
+        args = (idle, [1e-4, 1e-6], (0.0, 400.0), quantity, 3, method)
+        got = outcome(lambda: sweep(*args))
+        assert got == outcome(lambda: point_by_point(*args))
+        assert (got[0] is DomainError and "total power is 0 W" in got[1]) == (quantity == "EE")
+

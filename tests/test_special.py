@@ -56,6 +56,27 @@ class TestUpperIncompleteGamma:
     def test_frozen_anchors(self, v, z, expected):
         assert rel(upper_incomplete_gamma(v, z), expected) < 1e-10
 
+    @pytest.mark.parametrize("v,z,bits", [
+        # Either side of the series / continued-fraction split at z = v + 1,
+        # and on it; then a high order on each route, a small z and a
+        # negative order on the fraction.
+        (0.3, 1.2, "0x1.84670cc4e5210p-3"),
+        (0.3, 1.3, "0x1.5226be5bd8d06p-3"),
+        (0.3, 1.4, "0x1.271202f854409p-3"),
+        (2.5, 3.4, "0x1.412d9faea68a8p-2"),
+        (2.5, 3.5, "0x1.2c586d5626789p-2"),
+        (2.5, 3.6, "0x1.18ab61cc6b1adp-2"),
+        (7.0, 7.9, "0x1.d510d42e85064p+7"),
+        (7.0, 8.1, "0x1.b1e44ab1c0d8dp+7"),
+        (11.5, 0.5, "0x1.6b243e2afa9d2p+23"),
+        (11.5, 30.0, "0x1.c69fd5c70e72ep+8"),
+        (0.05, 0.001, "0x1.53f53f372893ap+2"),
+        (-2.5, 3.0, "0x1.1593458a1906ep-11"),
+    ])
+    def test_frozen_bits(self, v, z, bits):
+        # The loops' stopping tests decide the last bits; these pin them.
+        assert upper_incomplete_gamma(v, z) == float.fromhex(bits)
+
     def test_negative_integer_order(self):
         # The recurrence passes through the exponential integral at order 0.
         val = upper_incomplete_gamma(-2.0, 1.5)

@@ -47,4 +47,4 @@ print("\nTighter QoS shrinks the capacity (gamma0 = 0.5)")
 for theta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
     closed = effective_capacity(params, QosSpec(theta=theta), 0.5)
     exact = effective_capacity(params, QosSpec(theta=theta), 0.5, METHOD_EXACT)
-    print(f"  theta {theta:7.0e}: closed form {closed:12.1f}   quadrature {exact:12.1f} bits/s")
+    print(f"  theta {theta:7.0e}: closed form {closed:12.1f}   exact {exact:12.1f} bits/s")

@@ -4,18 +4,28 @@ Everything revolves around the per-slot service decay moment
 E[exp(-theta * s)], where s is the gated Shannon service in bits. Its log
 gives the effective capacity; dividing by the two-mode power budget gives
 the energy efficiency. For any fading m, the closed form takes the mean SNR
-as large, which folds the integral into an upper incomplete gamma; the exact
-route integrates the true kernel numerically.
+as large, which folds the integral into an upper incomplete gamma. The exact
+route keeps the true kernel (1 + snr g)^a: it sums its binomial series,
+one incomplete gamma per term, where snr gamma0 >= 2 and a running error
+bound shows log F good to a quarter of 1e-12 relative, and integrates the
+kernel numerically everywhere else (gamma0 = 0, low mean SNR, and theta so
+small that 1 - F cancels).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .channel import SystemParams, pdf, tail_probability
 from .errors import DomainError, _require_finite
-from .special import integrate, upper_incomplete_gamma
+from .special import (
+    _lower_series_scaled,
+    _upper_gamma_rel_error,
+    integrate,
+    upper_incomplete_gamma,
+)
 
 METHOD_EXACT = "exact_quadrature"
 METHOD_CLOSED = "closed_form"
@@ -23,6 +33,15 @@ _METHODS = (METHOD_EXACT, METHOD_CLOSED)
 # The per-point quantities a sweep can return: energy efficiency, effective
 # capacity, trend indicator and service decay moment.
 QUANTITIES = ("EE", "alpha", "G", "F")
+
+_EPS = sys.float_info.epsilon
+# The exact route's series answers only where its error bound on log F stays
+# within this relative share, a quarter of the 1e-12 the route is tested to.
+_SERIES_REL_ERR = 2.5e-13
+# The series converges for snr gamma0 > 1. From 2 on, each term is at most
+# about half the one before once k passes |a|, and 60 terms reach eps.
+_SERIES_MIN_SNR_GAMMA = 2.0
+_SERIES_MAX_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -80,21 +99,154 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
     tail = upper_incomplete_gamma(m + a, m * gamma0)
     if tail == 0.0:
         raise DomainError(f"Gamma({m + a:.6g}, {m * gamma0:.6g}) underflows the float range")
-    log_tail = a * (math.log(params.mean_snr) - math.log(m)) + math.log(tail) - math.lgamma(m)
+    log_tail = a * params._log_snr_per_m + math.log(tail) - params._lgamma_m
     if p_idle == 0.0:
         return log_tail
     return _logaddexp(math.log(p_idle), log_tail)
 
 
 def _log_mgf(
-    params: SystemParams, theta: float, gamma0: float, p_idle: float, method: str
+    params: SystemParams, theta: float, gamma0: float, p_tr: float, method: str
 ) -> float:
-    # log E[exp(-theta s)] by the given method, with p_idle from _modes; the
-    # exact route integrates the true kernel over the tail.
+    # log E[exp(-theta s)] by the given method, with p_tr from _modes. The
+    # exact route tries the binomial series first and integrates the true
+    # kernel only where the series cannot vouch for its result.
     if method == METHOD_CLOSED:
-        return _log_mgf_closed(params, theta, gamma0, p_idle)
+        return _log_mgf_closed(params, theta, gamma0, 1.0 - p_tr)
     if method != METHOD_EXACT:
         raise DomainError(f"unknown method {method!r}; expected one of {_METHODS}")
+    log_mgf = _log_mgf_series(params, params.exponent_rate * theta, gamma0, p_tr)
+    if log_mgf is not None:
+        return log_mgf
+    return _log_mgf_quadrature(params, theta, gamma0, p_tr)
+
+
+def _idle_mass(params: SystemParams, gamma0: float, p_tr: float) -> float:
+    # P(gain < gamma0), the idle term of F. Where p_tr > 1/2, 1 - p_tr keeps
+    # only its absolute accuracy, so the regularized lower gamma comes from
+    # its own series; z = m gamma0 is below the median of the gain, so below
+    # m, there.
+    if p_tr <= 0.5:
+        return 1.0 - p_tr
+    m = params.fading_m
+    z = m * gamma0
+    if z == 0.0:
+        return 0.0
+    return math.exp(m * math.log(z) - z - params._lgamma_m) * _lower_series_scaled(m, z)
+
+
+def _log_mgf_series(
+    params: SystemParams, a: float, gamma0: float, p_tr: float
+) -> float | None:
+    # log F by the binomial series of the kernel, or None where the series
+    # cannot vouch for it. For snr g > 1, (1 + snr g)^a is the sum over k of
+    # C(a, k) (snr g)^(a - k), so the transmit part of F is
+    #   T = (snr/m)^a / Gamma(m) * sum_k C(a, k) x^k Gamma(v - k, z),
+    # with x = m/snr, v = m + a and z = m gamma0. With a < 0 the Lagrange
+    # remainder after any term has the sign of the next term and at most its
+    # size, so the last term added bounds the truncation. DLMF 8.8.2 steps
+    # each Gamma down from the one before, with no further exp:
+    #   Gamma(w - 1, z) = (Gamma(w, z) - z^(w - 1) e^-z) / (w - 1).
+    # A running bound on the absolute error follows every rounding: the first
+    # Gamma's own (calibrated against mpmath), each step's, and the division
+    # by |w - 1| that carries both down. Small theta makes 1 - F = p_tr - T
+    # cancel like 1 / (|a| log(snr gamma0)), so the bound grows as theta
+    # falls, and the quadrature takes over once it passes _SERIES_REL_ERR.
+    snr = params.mean_snr
+    if not snr * gamma0 >= _SERIES_MIN_SNR_GAMMA:
+        return None
+    m = params.fading_m
+    z = m * gamma0
+    v = m + a
+    # Below order 0.01 at z < 1.5, upper_incomplete_gamma recurs down from
+    # an order in [0.01, 1.01), and its error grows next to the poles. The
+    # same recurrence runs here from that order instead, under the bound.
+    lift = math.ceil(0.01 - v) if v < 0.01 and z < 1.5 else 0
+    if lift > _SERIES_MAX_TERMS:
+        return None
+    w = v + lift
+    head = upper_incomplete_gamma(w, z)
+    if head < sys.float_info.min:
+        return None
+    log_z = math.log(z)
+    try:
+        edge = math.exp((w - 1.0) * log_z - z)  # x^k z^(w - 1) e^-z, x^k from v on
+    except OverflowError:
+        return None
+    edge_err = abs((w - 1.0) * log_z) + z + 1.0  # its relative error, in eps
+    err = _upper_gamma_rel_error(w, z, head) * head  # bounds the error of h
+    for k in range(lift):
+        gap = w - 1.0
+        if gap == 0.0:
+            return None
+        h_next = (head - edge) / gap
+        err = (err + _EPS * (abs(head) + edge * (edge_err + k))) / abs(gap)
+        err += 2.0 * _EPS * abs(h_next)
+        head, w = h_next, gap
+        edge /= z
+    edge_err += lift
+    x = m / snr
+    ratio = x / z
+    h = total = spread = head  # h = x^k Gamma(w, z) > 0; spread sums |term|
+    size = 1.0  # |C(a, k)|; C(a, k) has the sign of (-1)^k
+    carried = err  # sums |C(a, k)| times the error of h
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        gap = w - 1.0
+        if gap == 0.0:
+            return None
+        h_next = x * (h - edge) / gap
+        err = x * (err + _EPS * (abs(h) + edge * (edge_err + k))) / abs(gap)
+        err += 2.0 * _EPS * abs(h_next)
+        h, w = h_next, gap
+        edge *= ratio
+        size *= (k - 1 - a) / k
+        term = size * h
+        total += -term if k % 2 else term
+        spread += abs(term)
+        carried += size * err
+        if abs(term) <= _EPS * total:
+            break
+    else:
+        return None
+    log_pre = a * params._log_snr_per_m
+    scale = math.exp(log_pre) / math.gamma(m)
+    t = scale * total
+    # T's error: the sum's, the prefactor's (math.gamma is exact at integer
+    # m up to 23), and the rounding of v = m + a, through d log T / dv.
+    exact_gamma = m <= 23.0 and m % 1.0 == 0.0
+    d_log_t = 2.0 + math.log1p(abs(v) + z) + (abs(log_z) if v < 1.0 else 0.0)
+    t_err = scale * (carried + (k + 1) * _EPS / 2 * spread + abs(term)) + t * (
+        _EPS * (1.5 * abs(log_pre) + (2.0 if exact_gamma else 6.0)) + math.ulp(v) / 2 * d_log_t
+    )
+    # p_tr's error: channel.tail_probability's finite sum at an integer m,
+    # Gamma(m, z) / Gamma(m) otherwise.
+    if m % 1.0 or z >= 700.0:
+        gamma_m = math.gamma(m)
+        p_err = p_tr * (_upper_gamma_rel_error(m, z, p_tr * gamma_m) + 2.0 * _EPS)
+    else:
+        p_err = p_tr * _EPS * (m + 1.0) / 2
+    # The rounding of z = m gamma0 moves F by about z eps relative.
+    deficit = p_tr - t
+    if deficit <= 0.5:
+        deficit_err = p_err + t_err + _EPS * (1.0 + z) * deficit
+        # |d log F| = deficit_err / (1 - deficit) against |log F|.
+        if not deficit_err <= _SERIES_REL_ERR * (1.0 - deficit) * -math.log1p(-deficit):
+            return None
+        return math.log1p(-deficit)
+    idle = _idle_mass(params, gamma0, p_tr)
+    if p_tr > 0.5:
+        idle_err = _EPS * (abs(m * log_z) + z + abs(params._lgamma_m) + 4.0) * idle
+    else:
+        idle_err = p_err + _EPS * idle
+    f = idle + t
+    f_err = t_err + idle_err + _EPS * (1.0 + z) * f
+    if not (f > 0.0 and f_err <= _SERIES_REL_ERR * f * -math.log(f)):
+        return None
+    return math.log(f)
+
+
+def _log_mgf_quadrature(params: SystemParams, theta: float, gamma0: float, p_tr: float) -> float:
+    # log F by exp-sinh quadrature of the true kernel over the tail.
     import numpy as np
 
     a = params.exponent_rate * theta
@@ -113,7 +265,7 @@ def _log_mgf(
     def kernel(g: np.ndarray) -> np.ndarray:
         return np.exp(a * np.log1p(snr * g)) * pdf(params, g)
 
-    f = p_idle + integrate(kernel, gamma0)
+    f = _idle_mass(params, gamma0, p_tr) + integrate(kernel, gamma0)
     if f == 0.0:
         raise DomainError(f"F rounds to 0 at theta = {theta:.6g}, gamma0 = {gamma0:.6g}")
     return math.log(f)
@@ -136,8 +288,8 @@ def log_service_mgf(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Natural log of the per-slot service decay moment E[exp(-theta s)]."""
-    _, p_idle, _ = _modes(params, gamma0)
-    return _log_mgf(params, qos.theta, gamma0, p_idle, method)
+    p_tr, _, _ = _modes(params, gamma0)
+    return _log_mgf(params, qos.theta, gamma0, p_tr, method)
 
 
 def service_mgf(
@@ -200,10 +352,10 @@ def _point(
 ) -> float:
     # One of QUANTITIES at a point whose _modes are given, so a sweep can
     # share them across theta; EE needs a nonzero total power.
-    _, p_idle, power = modes
+    p_tr, _, power = modes
     if quantity == "EE":
         _require_power(gamma0, power)
-    log_mgf = _log_mgf(params, theta, gamma0, p_idle, method)
+    log_mgf = _log_mgf(params, theta, gamma0, p_tr, method)
     return _formula(params, theta, gamma0, log_mgf, power, quantity)
 
 
@@ -247,8 +399,8 @@ def _mgf_and_slope(
     # (1 + snr gamma0)^a for the exact route. It is None where k_F passes the
     # float range (the closed form's, at gamma0 = 0 or snr gamma0 far below
     # 1); a search halves there.
-    _, p_idle, power = _modes(params, gamma0)
-    log_mgf = _log_mgf(params, theta, gamma0, p_idle, method)
+    p_tr, _, power = _modes(params, gamma0)
+    log_mgf = _log_mgf(params, theta, gamma0, p_tr, method)
     density = pdf(params, gamma0)
     a = params.exponent_rate * theta
     snr_g = params.mean_snr * gamma0
@@ -313,7 +465,7 @@ def analyze(
     """Bundle every per-point quantity into one result."""
     p_tr, p_idle, power = _modes(params, gamma0)
     _require_power(gamma0, power)
-    log_mgf = _log_mgf(params, qos.theta, gamma0, p_idle, method)
+    log_mgf = _log_mgf(params, qos.theta, gamma0, p_tr, method)
     value = {q: _formula(params, qos.theta, gamma0, log_mgf, power, q) for q in QUANTITIES}
     return AnalysisResult(
         gamma0=gamma0,

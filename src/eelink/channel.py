@@ -44,6 +44,14 @@ class SystemParams:
     Exactly one of distance_km / path_loss may be supplied; a distance fixes
     the path loss through the macro-cell model above. Powers are watts,
     noise_density is W/Hz.
+
+    Two derived constants are set once, when the link is built:
+    - mean_snr: the average received SNR (the gain has unit mean);
+    - exponent_rate: -slot_duration * bandwidth * log2(e). Multiplied by the
+      QoS exponent, it is the SNR power-law exponent of the per-slot
+      service decay factor.
+    They are plain attributes, not fields: equality, hashing and the field
+    list see only the constructor's arguments.
     """
 
     slot_duration: float
@@ -93,18 +101,29 @@ class SystemParams:
                 raise DomainError("supply exactly one of distance_km or path_loss")
         if self.path_loss < 1.0:
             raise DomainError("path_loss must be at least 1 (linear ratio)")
-
-    @property
-    def exponent_rate(self) -> float:
-        """-slot_duration * bandwidth * log2(e): multiplied by the QoS
-        exponent, the SNR power-law exponent of the per-slot service decay
-        factor."""
-        return -self.slot_duration * self.bandwidth * LOG2_E
-
-    @property
-    def mean_snr(self) -> float:
-        """Average received SNR (the gain has unit mean)."""
-        return self.tx_power / (self.path_loss * self.noise_density * self.bandwidth)
+        # The analytic points read these constants many times per link, so
+        # they are computed here once. Plain attributes rather than
+        # functools.cached_property: its instance __dict__ would slow every
+        # later field read on the link.
+        try:
+            snr = self.tx_power / (self.path_loss * self.noise_density * self.bandwidth)
+        except ZeroDivisionError:
+            snr = math.inf
+        rate = -self.slot_duration * self.bandwidth * LOG2_E
+        if not (0.0 < snr < math.inf and math.isfinite(rate)):
+            raise DomainError("the mean SNR or the service exponent passes the float range")
+        m = self.fading_m
+        for name, value in (
+            ("mean_snr", snr),
+            ("exponent_rate", rate),
+            # log(mean_snr / m), lgamma(m) and the log of the gain density's
+            # constant m^m / Gamma(m), each with the bits of the expression
+            # the points used to evaluate.
+            ("_log_snr_per_m", math.log(snr) - math.log(m)),
+            ("_lgamma_m", math.lgamma(m)),
+            ("_log_density_norm", m * math.log(m) - math.lgamma(m)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def default_params() -> SystemParams:
@@ -135,7 +154,7 @@ def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
         power = 0.0
         if m != 1.0:
             power = (m - 1.0) * (math.log(gain) if gain > 0.0 else -math.inf)
-        return math.exp(m * math.log(m) - math.lgamma(m) + power - m * gain)
+        return math.exp(params._log_density_norm + power - m * gain)
     import numpy as np
 
     g = np.asarray(gain, dtype=float)
@@ -145,7 +164,7 @@ def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
     if m != 1.0:
         with np.errstate(divide="ignore"):
             power = (m - 1.0) * np.log(g)
-    density = np.exp(m * math.log(m) - math.lgamma(m) + power - m * g)
+    density = np.exp(params._log_density_norm + power - m * g)
     return float(density) if density.ndim == 0 else density
 
 

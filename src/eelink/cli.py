@@ -319,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add = partial(subs.add_parser, allow_abbrev=False)  # a prefix could name another flag
     p = add("analyze", help="analytics at one (theta, gamma0) point")
-    p.add_argument("--exact", action="store_true", help="use quadrature instead of the closed form")
+    p.add_argument("--exact", action="store_true",
+                   help="use the exact kernel (series or quadrature) instead of the closed form")
     _add_options(p, _cmd_analyze, "theta", "gamma0")
 
     p = add("optimize", help="EE-optimal threshold for one theta")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, QuadratureError
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _EULER = 0.5772156649015329
+_EPS = sys.float_info.epsilon
 _TERM_EPS = 1e-15          # series / continued-fraction termination
 _MAX_TERMS = 10_000
 _DE_LEVELS = 5             # step halvings held by the quadrature tables
@@ -140,6 +142,28 @@ def upper_incomplete_gamma(v: float, z: float) -> float:
     log_pre = v * math.log(z) - z
     lower = math.exp(log_pre) * _lower_series_scaled(v, z) if log_pre > -745.0 else 0.0
     return math.gamma(v) - lower
+
+
+def _upper_gamma_rel_error(v: float, z: float, value: float) -> float:
+    # A bound on the relative error of value = upper_incomplete_gamma(v, z)
+    # for z > 0, outside the low-order recurrence (v < 0.01 and z < 1.5),
+    # calibrated against 40-digit mpmath on 7594 random points (v from -12.9
+    # to 40, z from 5e-6 to 890) and held 1.5x above the worst seen there.
+    # size measures the log of the prefactor z^v e^-z, whose rounding the
+    # exp turns into relative error.
+    # - Series route, Gamma(v) - lower: at most 3.2 eps Gamma(v), from
+    #   math.gamma and the subtraction, plus 0.5 (size + 1) eps times the
+    #   lower part.
+    # - Continued fraction: at most (0.6 size + 4 + 35 / z) eps relative;
+    #   the fraction converges slowly, and gathers rounding, at small z.
+    log_pre = v * math.log(z)
+    size = abs(log_pre) + abs(log_pre - z)
+    if v >= 0.01 and z < v + 1.0:
+        complete = math.gamma(v)
+        bound = (3.2 * complete + 0.5 * (size + 1.0) * (complete - value)) / value
+    else:
+        bound = 0.6 * size + 4.0 + 35.0 / z
+    return 1.5 * _EPS * bound
 
 
 # Double-exponential tables over |t| <= _DE_T. Level 0 has step _DE_H0 and

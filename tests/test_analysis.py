@@ -460,14 +460,140 @@ class TestFloatRange:
         with pytest.raises(DomainError, match="passes the float range"):
             ee_trend(params, QosSpec(theta=1.0), gamma0)
 
-    def test_exact_mgf_rounds_to_zero(self, params):
-        # m = 20, theta = 0.627, gamma0 = 0.042: the true idle probability
-        # is 5.65e-21, but 1 - p_tr cancels to 0, and the transmit side is
-        # about 7e-390.
+
+def mpmath_log_mgf(mpmath, link, theta, gamma0):
+    """log F at 20 digits by quadrature in w = m (g - gamma0). Next to the
+    threshold the kernel falls by e within m (1 + snr gamma0) / (|a| snr) of
+    it in w, which can be 1e-4, so the cuts start at 1/64 of the least of
+    that scale, m gamma0 and the density's unit scale, and grow by 8 to 64.
+    Each integrand is divided by its largest value on the cuts first: quad's
+    error estimate has an absolute floor near 10^-20, which an integral of
+    e^-100 would pass unresolved. Where 1 - F > 1/2, F is the regularized
+    lower gamma plus the kernel's integral."""
+    with mpmath.workdps(20):
+        m = mpmath.mpf(link.fading_m)
+        snr = mpmath.mpf(link.mean_snr)
+        a = mpmath.mpf(link.exponent_rate) * theta
+        g0 = mpmath.mpf(gamma0)
+        log_norm = m * mpmath.log(m) - mpmath.loggamma(m)
+
+        def density(w):
+            g = g0 + w / m
+            return mpmath.exp(log_norm + (m - 1) * mpmath.log(g) - m * g) / m
+
+        def log_kernel(w):
+            return a * mpmath.log1p(snr * (g0 + w / m))
+
+        scale = min(m * (1 + snr * g0) / (-a * snr), m * g0 if gamma0 else 1, 1) / 64
+        cuts = [0]
+        while scale < 64:
+            cuts.append(scale)
+            scale *= 8
+        cuts += [64, mpmath.inf]
+
+        def integral(f):
+            peak = max(f(w) for w in cuts[1:-1])
+            return peak * mpmath.quad(lambda w: f(w) / peak, cuts)
+
+        deficit = integral(lambda w: -mpmath.expm1(log_kernel(w)) * density(w))
+        if deficit <= 0.5:
+            return float(mpmath.log1p(-deficit))
+        transmit = integral(lambda w: mpmath.exp(log_kernel(w)) * density(w))
+        idle = mpmath.gammainc(m, 0, m * g0, regularized=True)
+        return float(mpmath.log(idle + transmit))
+
+
+class TestExactSeries:
+    """The exact route's binomial series, and the quadrature it falls back
+    to, against mpmath; both are held to 1e-12 relative on log F."""
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 3.0, 5.5, 20.0])
+    def test_matches_mpmath(self, params, m):
+        mpmath = pytest.importorskip("mpmath")
+        link = dataclasses.replace(params, fading_m=m)
+        cutoff = analysis._SERIES_MIN_SNR_GAMMA / link.mean_snr
+        answered = 0
+        # theta = 1e-8 cancels too far for the series; 0.05 puts the
+        # kernel's scale within 1e-4 of the threshold.
+        points = [(1e-8, 0.5), (1e-4, 1.25 * cutoff), (1e-4, 0.5),
+                  (0.05, 0.75 * cutoff), (0.05, 1.25 * cutoff), (0.05, 0.002)]
+        for theta, g0 in points:
+            expected = mpmath_log_mgf(mpmath, link, theta, g0)
+            bound = 1e-12 * abs(expected)
+            got = log_service_mgf(link, QosSpec(theta=theta), g0, METHOD_EXACT)
+            assert abs(got - expected) <= bound, (theta, g0)
+            p_tr = tail_probability(link, g0)
+            series = analysis._log_mgf_series(link, link.exponent_rate * theta, g0, p_tr)
+            if series is None:
+                continue
+            assert g0 > cutoff
+            assert series == got
+            quadrature = analysis._log_mgf_quadrature(link, theta, g0, p_tr)
+            assert abs(quadrature - expected) <= bound, (theta, g0)
+            answered += 1
+        assert answered >= 2
+
+    @pytest.mark.parametrize("order", [-1 + 1e-12, -1 + 1e-4, -2 - 1e-6])
+    def test_orders_next_to_a_pole(self, params, order):
+        # m + a next to a pole of Gamma at z = 0.1: the series recurs down
+        # from an order in [0.01, 1.01) and divides by w - 1 near 0 on the
+        # way, which its bound must catch.
+        mpmath = pytest.importorskip("mpmath")
+        link = dataclasses.replace(params, fading_m=1.0)
+        theta = (order - 1.0) / link.exponent_rate
+        expected = mpmath_log_mgf(mpmath, link, theta, 0.1)
+        got = log_service_mgf(link, QosSpec(theta=theta), 0.1, METHOD_EXACT)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_low_snr_link_falls_back(self, params, m):
+        # At a mean SNR of about 2e-4, snr gamma0 stays far below the
+        # series' cutoff, so quadrature answers everywhere.
+        mpmath = pytest.importorskip("mpmath")
+        link = dataclasses.replace(params, tx_power=1e-6, fading_m=m)
+        for theta in (1e-6, 1e-3):
+            for g0 in (0.5, 2.0):
+                p_tr = tail_probability(link, g0)
+                assert analysis._log_mgf_series(link, link.exponent_rate * theta, g0, p_tr) is None
+                expected = mpmath_log_mgf(mpmath, link, theta, g0)
+                got = log_service_mgf(link, QosSpec(theta=theta), g0, METHOD_EXACT)
+                assert abs(got - expected) <= 1e-12 * abs(expected), (theta, g0)
+
+
+class TestExactIdleMass:
+    """Where F is mostly the idle mass P(gain < gamma0) and that mass is far
+    below 1e-16, 1 - p_tr rounds it away; both exact routes take it from the
+    regularized lower gamma instead."""
+
+    @pytest.fixture(params=["series", "quadrature"])
+    def route(self, request, monkeypatch):
+        if request.param == "quadrature":
+            monkeypatch.setattr(analysis, "_log_mgf_series", lambda *args: None)
+        return request.param
+
+    def test_deep_idle_point_is_finite(self, params, route):
+        # m = 20, theta = 0.627, gamma0 = 0.042: the idle mass is 5.65e-21,
+        # 1 - p_tr cancels to 0, and the transmit side is about 7e-390, so
+        # F is the idle mass.
         mpmath = pytest.importorskip("mpmath")
         link = dataclasses.replace(params, fading_m=20.0)
-        p_idle = mpmath.gammainc(20, 0, 20 * 0.042, regularized=True)
-        assert float(p_idle) == pytest.approx(5.654e-21, rel=1e-3)
+        idle = mpmath.gammainc(20, 0, 20 * 0.042, regularized=True)
+        assert float(idle) == pytest.approx(5.654e-21, rel=1e-3)
         assert 1.0 - tail_probability(link, 0.042) == 0.0
-        with pytest.raises(DomainError, match="F rounds to 0"):
-            analyze(link, QosSpec(theta=0.627), 0.042, method=METHOD_EXACT)
+        r = analyze(link, QosSpec(theta=0.627), 0.042, method=METHOD_EXACT)
+        assert r.log_mgf == pytest.approx(float(mpmath.log(idle)), rel=1e-12)
+        assert r.p_idle == 0.0 and r.p_tr + r.p_idle == 1.0
+
+    @pytest.mark.parametrize("gamma0", [0.068, 0.069, 0.07])
+    def test_matches_mpmath(self, params, route, gamma0):
+        # m = 20, theta = 0.02: the idle mass is 5.3e-17 at 0.068 and 9.1e-17
+        # at 0.07, where 1 - p_tr rounded to 0 or to 1.1e-16 and the
+        # capacity jumped by 14% between neighbouring thresholds.
+        mpmath = pytest.importorskip("mpmath")
+        link = dataclasses.replace(params, fading_m=20.0)
+        expected = mpmath_log_mgf(mpmath, link, 0.02, gamma0)
+        got = log_service_mgf(link, QosSpec(theta=0.02), gamma0, METHOD_EXACT)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+        if gamma0 == 0.068:
+            capacity = effective_capacity(link, QosSpec(theta=0.02), gamma0, METHOD_EXACT)
+            assert capacity == pytest.approx(1_873_654, abs=1)

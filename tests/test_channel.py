@@ -264,9 +264,29 @@ class TestDerivedConstants:
         assert doubled.mean_snr == pytest.approx(0.5 * params.mean_snr, rel=1e-13)
 
     def test_read_only_and_not_fields(self, params):
-        # Properties, not fields: the CLI's keys and --dump-config iterate
-        # the dataclass fields, and the constants follow their inputs.
+        # Attributes set when the link is built, not fields: the CLI's keys
+        # and --dump-config iterate the dataclass fields, and the constants
+        # follow their inputs.
         assert "mean_snr" not in params.__dataclass_fields__
         assert "exponent_rate" not in params.__dataclass_fields__
         with pytest.raises(AttributeError):
             params.mean_snr = 1.0
+
+    def test_set_once_with_the_formulas_bits(self, params):
+        assert params.mean_snr == params.tx_power / (
+            params.path_loss * params.noise_density * params.bandwidth
+        )
+        assert params.exponent_rate == -params.slot_duration * params.bandwidth * math.log2(math.e)
+        twin = dataclasses.replace(params)
+        assert twin == params and hash(twin) == hash(params)
+        brighter = dataclasses.replace(params, tx_power=4.0 * params.tx_power)
+        assert brighter.mean_snr == 4.0 * params.mean_snr
+
+    @pytest.mark.parametrize("changes", [
+        {"noise_density": 1e-300, "bandwidth": 1e-300},  # the noise power underflows to 0
+        {"tx_power": 1e300, "noise_density": 1e-30},  # the mean SNR overflows
+        {"slot_duration": 1e300, "bandwidth": 1e10},  # the service exponent overflows
+    ])
+    def test_out_of_float_range_is_a_domain_error(self, params, changes):
+        with pytest.raises(DomainError, match="passes the float range"):
+            dataclasses.replace(params, **changes)

@@ -523,13 +523,11 @@ class TestKeysReachLibrary:
     # no circuit power, and a threshold at which no slot transmits
     ["analyze", "--exact", "--theta", "1e-4", "--circuit-power", "0", "--gamma0", "400"],
     ["simulate", "--mu", "1e5", "--gamma0", "400", "--circuit-power", "0", "--slots", "1000"],
-    # values past the float range: Gamma(1.974, 800) underflows to 0, the
-    # downward recurrence for Gamma(-257.7, z) overflows, and the exact F
-    # rounds to 0 because p_idle = 1 - p_tr cancels
+    # values past the float range: Gamma(1.974, 800) underflows to 0, and
+    # the downward recurrence for Gamma(-257.7, z) overflows
     ["analyze", "--theta", "1e-4", "--gamma0", "400"],
     ["analyze", "--theta", "1", "--gamma0", "0.01"],
     ["theta-threshold", "--theta-hi", "1"],
-    ["analyze", "--exact", "--fading-m", "20", "--theta", "0.627", "--gamma0", "0.042"],
     # at low mean SNR the closed-form log-MGF passes 709, so F = exp(log-MGF)
     # passes the float range
     ["analyze", "--theta", "0.5", "--gamma0", "0.01", "--tx-power", "1e-6"],
@@ -543,6 +541,15 @@ def test_nonfinite_input_is_a_domain_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: domain:")
     assert "\n" not in err.strip()
+
+
+def test_exact_deep_idle_point_is_finite(capsys):
+    # F is the idle mass 5.65e-21 there, which 1 - p_tr rounds to 0.
+    argv = ["analyze", "--exact", "--fading-m", "20", "--theta", "0.627", "--gamma0", "0.042",
+            "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["service_mgf"] == pytest.approx(5.654e-21, rel=1e-3)
 
 
 def fresh_heavy_modules(argv):
@@ -589,8 +596,15 @@ def test_closed_form_sweep_loads_no_numpy(quantity):
 
 
 def test_exact_call_loads_numpy():
-    argv = ["analyze", "--exact", "--theta", "1e-4", "--gamma0", "1.0"]
+    # At gamma0 = 0 the exact route's series does not converge, so it
+    # integrates.
+    argv = ["analyze", "--exact", "--theta", "1e-4", "--gamma0", "0"]
     assert fresh_heavy_modules(argv) == [0, ["numpy"]]
+
+
+def test_exact_call_the_series_answers_loads_no_numpy():
+    argv = ["analyze", "--exact", "--theta", "1e-4", "--gamma0", "0.5323"]
+    assert fresh_heavy_modules(argv) == [0, []]
 
 
 def readme_examples():

@@ -8,8 +8,9 @@ as large, which folds the integral into an upper incomplete gamma. The exact
 route keeps the true kernel (1 + snr g)^a: it sums its binomial series,
 one incomplete gamma per term, where snr gamma0 >= 2 and a running error
 bound shows log F good to a quarter of 1e-12 relative, and integrates the
-kernel numerically everywhere else (gamma0 = 0, low mean SNR, and theta so
-small that 1 - F cancels).
+kernel numerically everywhere else (gamma0 = 0, low mean SNR, theta so
+small that 1 - F cancels, and orders beyond those its error model was
+calibrated on).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .channel import SystemParams, pdf, tail_probability
 from .errors import DomainError, _require_finite
 from .special import (
     _lower_series_scaled,
+    _upper_gamma_calibrated,
     _upper_gamma_rel_error,
     integrate,
     upper_incomplete_gamma,
@@ -123,9 +125,12 @@ def _log_mgf(
 
 def _idle_mass(params: SystemParams, gamma0: float, p_tr: float) -> float:
     # P(gain < gamma0), the idle term of F. Where p_tr > 1/2, 1 - p_tr keeps
-    # only its absolute accuracy, so the regularized lower gamma comes from
-    # its own series; z = m gamma0 is below the median of the gain, so below
-    # m, there.
+    # only p_tr's absolute accuracy, so the regularized lower gamma comes
+    # from its own series; z = m gamma0 is below the median of the gain, so
+    # below m, there. Its relative error, about eps (|m log z| + z +
+    # |lgamma m|) from the rounding of the prefactor's log, is no worse than
+    # that of 1 - p_tr even at p_tr just above 1/2, since p_tr's own error
+    # grows the same way with m.
     if p_tr <= 0.5:
         return 1.0 - p_tr
     m = params.fading_m
@@ -157,34 +162,23 @@ def _log_mgf_series(
         return None
     m = params.fading_m
     z = m * gamma0
-    v = m + a
-    # Below order 0.01 at z < 1.5, upper_incomplete_gamma recurs down from
-    # an order in [0.01, 1.01), and its error grows next to the poles. The
-    # same recurrence runs here from that order instead, under the bound.
-    lift = math.ceil(0.01 - v) if v < 0.01 and z < 1.5 else 0
-    if lift > _SERIES_MAX_TERMS:
+    v = w = m + a
+    # The bound takes the error of each Gamma from the calibrated model, so
+    # both must lie in its box: the first Gamma(w, z), and Gamma(m, z) where
+    # p_tr is not channel.tail_probability's finite sum.
+    tail_by_gamma = m % 1.0 or z >= 700.0
+    if not _upper_gamma_calibrated(w, z) or tail_by_gamma and not _upper_gamma_calibrated(m, z):
         return None
-    w = v + lift
     head = upper_incomplete_gamma(w, z)
     if head < sys.float_info.min:
         return None
     log_z = math.log(z)
     try:
-        edge = math.exp((w - 1.0) * log_z - z)  # x^k z^(w - 1) e^-z, x^k from v on
+        edge = math.exp((w - 1.0) * log_z - z)  # x^k z^(w - 1) e^-z
     except OverflowError:
         return None
     edge_err = abs((w - 1.0) * log_z) + z + 1.0  # its relative error, in eps
     err = _upper_gamma_rel_error(w, z, head) * head  # bounds the error of h
-    for k in range(lift):
-        gap = w - 1.0
-        if gap == 0.0:
-            return None
-        h_next = (head - edge) / gap
-        err = (err + _EPS * (abs(head) + edge * (edge_err + k))) / abs(gap)
-        err += 2.0 * _EPS * abs(h_next)
-        head, w = h_next, gap
-        edge /= z
-    edge_err += lift
     x = m / snr
     ratio = x / z
     h = total = spread = head  # h = x^k Gamma(w, z) > 0; spread sums |term|
@@ -211,6 +205,8 @@ def _log_mgf_series(
     log_pre = a * params._log_snr_per_m
     scale = math.exp(log_pre) / math.gamma(m)
     t = scale * total
+    if not t > 0.0:  # T > 0; a sum that rounds to 0 or below vouches for nothing
+        return None
     # T's error: the sum's, the prefactor's (math.gamma is exact at integer
     # m up to 23), and the rounding of v = m + a, through d log T / dv.
     exact_gamma = m <= 23.0 and m % 1.0 == 0.0
@@ -220,7 +216,7 @@ def _log_mgf_series(
     )
     # p_tr's error: channel.tail_probability's finite sum at an integer m,
     # Gamma(m, z) / Gamma(m) otherwise.
-    if m % 1.0 or z >= 700.0:
+    if tail_by_gamma:
         gamma_m = math.gamma(m)
         p_err = p_tr * (_upper_gamma_rel_error(m, z, p_tr * gamma_m) + 2.0 * _EPS)
     else:
@@ -233,14 +229,12 @@ def _log_mgf_series(
         if not deficit_err <= _SERIES_REL_ERR * (1.0 - deficit) * -math.log1p(-deficit):
             return None
         return math.log1p(-deficit)
+    # Here p_tr > 1/2 + T, so _idle_mass takes the lower gamma form.
     idle = _idle_mass(params, gamma0, p_tr)
-    if p_tr > 0.5:
-        idle_err = _EPS * (abs(m * log_z) + z + abs(params._lgamma_m) + 4.0) * idle
-    else:
-        idle_err = p_err + _EPS * idle
+    idle_err = _EPS * (abs(m * log_z) + z + abs(params._lgamma_m) + 4.0) * idle
     f = idle + t
     f_err = t_err + idle_err + _EPS * (1.0 + z) * f
-    if not (f > 0.0 and f_err <= _SERIES_REL_ERR * f * -math.log(f)):
+    if not f_err <= _SERIES_REL_ERR * f * -math.log(f):
         return None
     return math.log(f)
 

@@ -144,11 +144,17 @@ def upper_incomplete_gamma(v: float, z: float) -> float:
     return math.gamma(v) - lower
 
 
+def _upper_gamma_calibrated(v: float, z: float) -> bool:
+    # Whether (v, z) lies in the box _upper_gamma_rel_error was calibrated
+    # on; outside it that bound is an extrapolation.
+    return -12.9 <= v <= 40.0 and 5e-6 <= z <= 890.0 and not (v < 0.01 and z < 1.5)
+
+
 def _upper_gamma_rel_error(v: float, z: float, value: float) -> float:
     # A bound on the relative error of value = upper_incomplete_gamma(v, z)
-    # for z > 0, outside the low-order recurrence (v < 0.01 and z < 1.5),
-    # calibrated against 40-digit mpmath on 7594 random points (v from -12.9
-    # to 40, z from 5e-6 to 890) and held 1.5x above the worst seen there.
+    # where _upper_gamma_calibrated(v, z): calibrated against 40-digit mpmath
+    # on 7594 random points (v from -12.9 to 40, z from 5e-6 to 890, outside
+    # the low-order recurrence) and held 1.5x above the worst seen there.
     # size measures the log of the prefactor z^v e^-z, whose rounding the
     # exp turns into relative error.
     # - Series route, Gamma(v) - lower: at most 3.2 eps Gamma(v), from

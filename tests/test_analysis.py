@@ -535,14 +535,32 @@ class TestExactSeries:
 
     @pytest.mark.parametrize("order", [-1 + 1e-12, -1 + 1e-4, -2 - 1e-6])
     def test_orders_next_to_a_pole(self, params, order):
-        # m + a next to a pole of Gamma at z = 0.1: the series recurs down
-        # from an order in [0.01, 1.01) and divides by w - 1 near 0 on the
-        # way, which its bound must catch.
+        # m + a next to a pole of Gamma at z = 0.1: upper_incomplete_gamma
+        # recurs down there, outside the calibrated error model's box, so
+        # the series leaves these points to quadrature.
         mpmath = pytest.importorskip("mpmath")
         link = dataclasses.replace(params, fading_m=1.0)
         theta = (order - 1.0) / link.exponent_rate
+        p_tr = tail_probability(link, 0.1)
+        assert analysis._log_mgf_series(link, link.exponent_rate * theta, 0.1, p_tr) is None
         expected = mpmath_log_mgf(mpmath, link, theta, 0.1)
         got = log_service_mgf(link, QosSpec(theta=theta), 0.1, METHOD_EXACT)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize(
+        "m, theta, g0", [(2.0, 0.5, 1.0), (1.0, 0.2, 2.0), (45.5, 1e-3, 0.5), (45.5, 1e-3, 1.0)]
+    )
+    def test_outside_the_calibrated_box_falls_back(self, params, m, theta, g0):
+        # The first Gamma's order m + a is about -128 and -51 at the large
+        # thetas, and p_tr is Gamma(45.5, z) / Gamma(45.5) at the large
+        # non-integer m: both beyond the orders -12.9 to 40 that the error
+        # model was calibrated on, so quadrature answers.
+        mpmath = pytest.importorskip("mpmath")
+        link = dataclasses.replace(params, fading_m=m)
+        p_tr = tail_probability(link, g0)
+        assert analysis._log_mgf_series(link, link.exponent_rate * theta, g0, p_tr) is None
+        expected = mpmath_log_mgf(mpmath, link, theta, g0)
+        got = log_service_mgf(link, QosSpec(theta=theta), g0, METHOD_EXACT)
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("m", [1.0, 2.0])
@@ -583,6 +601,23 @@ class TestExactIdleMass:
         r = analyze(link, QosSpec(theta=0.627), 0.042, method=METHOD_EXACT)
         assert r.log_mgf == pytest.approx(float(mpmath.log(idle)), rel=1e-12)
         assert r.p_idle == 0.0 and r.p_tr + r.p_idle == 1.0
+
+    @pytest.mark.parametrize("m", [20.0, 150.0, 150.5])
+    def test_lower_gamma_form_beats_the_complement(self, params, m):
+        # Thresholds where p_tr runs from 1/2 to 0.999. p_tr's own error
+        # grows with m, so at m = 150 1 - p_tr was 1.7e-12 off even where p_tr
+        # was near 1/2; the lower gamma form stays within 2.4e-13.
+        mpmath = pytest.importorskip("mpmath")
+        link = dataclasses.replace(params, fading_m=m)
+        for i in range(40):
+            gamma0 = 1.0 - 3.2 / math.sqrt(m) * (1.0 - i / 39)
+            p_tr = tail_probability(link, gamma0)
+            if p_tr <= 0.5:
+                continue
+            with mpmath.workdps(30):
+                expected = mpmath.gammainc(m, 0, m * mpmath.mpf(gamma0), regularized=True)
+                got = analysis._idle_mass(link, gamma0, p_tr)
+                assert abs(got - expected) <= 5e-13 * expected, gamma0
 
     @pytest.mark.parametrize("gamma0", [0.068, 0.069, 0.07])
     def test_matches_mpmath(self, params, route, gamma0):

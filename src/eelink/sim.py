@@ -5,13 +5,22 @@ threshold (otherwise idle), and update the queue with a constant-rate
 arrival. The queue recursion is solved in closed form (reflected random
 walk) and walked in fixed blocks of slots, each a handful of vector
 operations that carry the walk and its running minimum into the next block.
-So a run needs O(block) memory whatever its length, and is fully
+Each block's arithmetic runs in place in two buffers reused across blocks,
+and is branch-free: an idle slot's gain is zeroed, so it serves log2(1) = 0
+bits. So a run needs O(block) memory whatever its length, and is fully
 deterministic for a fixed seed.
+
+improvement_vs_baseline needs only the share of transmitting slots. It
+skips the queue whenever the bits that arrive over the whole run are at
+most half the stability guard: the backlog never exceeds them, so the guard
+cannot fire, and the same gains are drawn and counted, so the result is the
+same float as with the queue.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .analysis import METHOD_CLOSED, QosSpec, effective_capacity, mean_service_rate
@@ -86,7 +95,8 @@ class CurvePoint:
 @dataclass(frozen=True)
 class _Tally:
     """Post-warmup sums of one pass: slot count, transmitting and busy
-    slots, delay-outage slots per bound, and the queue's sum and maximum."""
+    slots, delay-outage slots per bound, and the queue's sum and maximum.
+    A pass that skips the queue leaves its fields (busy onward) at 0."""
 
     slots: int
     transmitted: int
@@ -96,12 +106,13 @@ class _Tally:
     queue_max: float
 
 
-def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
+def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True) -> _Tally:
     """Simulate config.num_slots slots in blocks of _BLOCK_SLOTS and tally
     the post-warmup statistics, counting outages for every delay bound.
 
     Raises QueueOverflowError at the first slot whose backlog passes the
-    stability guard.
+    stability guard. With queue=False only the gains are drawn and the
+    transmitting slots counted: no queue, no guard.
     """
     import numpy as np
 
@@ -111,6 +122,10 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     rate_scale = p.slot_duration * p.bandwidth
     arrival = config.arrival_rate * p.slot_duration
     warmup = config.resolved_warmup()
+    # Two buffers serve every block: the step, then its partial sums, then
+    # the queue, in one; the running minimum, then the waits, in the other.
+    size = min(_BLOCK_SLOTS, config.num_slots) if queue else 0
+    path_buf, low_buf = np.empty(size), np.empty(size)
     # Lindley recursion q[n] = max(q[n-1] + a - s[n], 0) with q[0] = 0 has
     # the closed form q[n] = S[n] - min(0, min_{k<=n} S[k]). Each block
     # carries S and min(0, min S) over from the one before, so its partial
@@ -123,28 +138,38 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     for start in range(0, config.num_slots, _BLOCK_SLOTS):
         gains = sample_gains(p, rng, min(_BLOCK_SLOTS, config.num_slots - start))
         transmit = gains >= config.gamma0
-        path = arrival - np.where(transmit, rate_scale * np.log2(1.0 + snr * gains), 0.0)
+        skip = max(warmup - start, 0)
+        if skip < gains.size:
+            transmitted += int(np.count_nonzero(transmit[skip:]))
+        if not queue:
+            continue
+        # Step a - s[n], branch-free: an idle slot's gain is zeroed, so it
+        # serves log2(1) = 0 bits and its step is exactly a.
+        path = np.multiply(gains, transmit, out=path_buf[: gains.size])
+        path *= snr
+        path += 1.0
+        np.log2(path, out=path)
+        path *= rate_scale
+        np.subtract(arrival, path, out=path)
         path[0] += path_end
         np.cumsum(path, out=path)
-        running_min = np.minimum.accumulate(path)
+        running_min = np.minimum.accumulate(path, out=low_buf[: gains.size])
         np.minimum(running_min, low, out=running_min)
         path_end, low = float(path[-1]), float(running_min[-1])
-        queue = np.subtract(path, running_min, out=path)
-        if queue.max() > QUEUE_GUARD_BITS:
-            first = start + int(np.argmax(queue > QUEUE_GUARD_BITS))
+        block_queue = np.subtract(path, running_min, out=path)
+        if block_queue.max() > QUEUE_GUARD_BITS:
+            first = start + int(np.argmax(block_queue > QUEUE_GUARD_BITS))
             raise QueueOverflowError(
                 f"queue exceeded {QUEUE_GUARD_BITS:.0e} bits at slot {first}; "
                 "arrival rate exceeds the gated capacity"
             )
-        skip = max(warmup - start, 0)
-        if skip >= queue.size:
+        if skip >= gains.size:
             continue
-        q = queue[skip:]
-        transmitted += int(np.count_nonzero(transmit[skip:]))
+        q = block_queue[skip:]
         busy += int(np.count_nonzero(q > 0.0))
         if delay_bounds:
             # Fluid FIFO: the newest bit waits q / arrival_rate seconds.
-            waits = q / config.arrival_rate
+            waits = np.divide(q, config.arrival_rate, out=running_min[skip:])
             for i, d in enumerate(delay_bounds):
                 outages[i] += int(np.count_nonzero(waits > d))
         queue_sum += float(q.sum())
@@ -159,6 +184,19 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     )
 
 
+def _mean_power(p: SystemParams, p_tr_hat: float) -> float:
+    """Mean power from the transmitting share of slots. The per-slot power
+    is two-valued, so this mean is exact (and exactly circuit + tx power
+    when every slot transmits). Raises DomainError when it is 0 W."""
+    mean_power = p.circuit_power + p.tx_power * p_tr_hat + p.idle_power * (1.0 - p_tr_hat)
+    if mean_power == 0.0:
+        raise DomainError(
+            "mean power is 0 W: no circuit or idle power, and no slot transmitted, "
+            "so the energy efficiency is undefined"
+        )
+    return mean_power
+
+
 def run(config: SimConfig) -> SimReport:
     """Simulate the configured number of slots and report statistics.
 
@@ -168,24 +206,15 @@ def run(config: SimConfig) -> SimReport:
     QueueOverflowError when the backlog passes the stability guard, which
     indicates an arrival rate beyond the gated capacity.
     """
-    p = config.params
     bounds = () if config.delay_bound is None else (config.delay_bound,)
     tally = _walk(config, bounds)
     n = tally.slots
     p_tr_hat = tally.transmitted / n
-    p_idle_hat = 1.0 - p_tr_hat
-    # Power from mode counts: the per-slot power is two-valued, so this mean
-    # is exact (and exactly circuit + tx power when gamma0 = 0).
-    mean_power = p.circuit_power + p.tx_power * p_tr_hat + p.idle_power * p_idle_hat
-    if mean_power == 0.0:
-        raise DomainError(
-            "mean power is 0 W: no circuit or idle power, and no slot transmitted, "
-            "so the energy efficiency is undefined"
-        )
+    mean_power = _mean_power(config.params, p_tr_hat)
     return SimReport(
         empirical_ee=config.arrival_rate / mean_power,
         p_tr_hat=p_tr_hat,
-        p_idle_hat=p_idle_hat,
+        p_idle_hat=1.0 - p_tr_hat,
         p_b_hat=tally.busy / n,
         delay_outage_hat=tally.outages[0] / n if bounds else None,
         mean_queue=tally.queue_sum / n,
@@ -199,14 +228,29 @@ def run(config: SimConfig) -> SimReport:
 def improvement_vs_baseline(config: SimConfig) -> float:
     """Relative EE gain of the configured threshold over a zero threshold.
 
-    One gated run suffices. Every gain clears a zero threshold, so the
+    One gated pass suffices. Every gain clears a zero threshold, so the
     baseline's mean power is exactly circuit + tx power and its EE is
     arrival_rate over that; and a zero threshold serves at least as much in
     every slot, so its queue passes the guard only if the gated run's does,
     which raises QueueOverflowError here.
+
+    The gain needs only the share of transmitting slots, and the queue is
+    walked only to honour that guard. The backlog never exceeds the bits
+    that arrived, so when arrival_rate * slot_duration * num_slots is at
+    most half of QUEUE_GUARD_BITS (the other half is room for rounding) the
+    guard cannot fire, and the pass only draws the same gains and counts
+    the transmitting slots. The result is the same float as run's, bit for
+    bit.
     """
-    baseline_ee = config.arrival_rate / (config.params.circuit_power + config.params.tx_power)
-    return (run(config).empirical_ee - baseline_ee) / baseline_ee
+    p = config.params
+    baseline_ee = config.arrival_rate / (p.circuit_power + p.tx_power)
+    arrived_bits = config.arrival_rate * p.slot_duration * config.num_slots
+    if arrived_bits <= QUEUE_GUARD_BITS / 2:
+        tally = _walk(config, (), queue=False)
+        ee = config.arrival_rate / _mean_power(p, tally.transmitted / tally.slots)
+    else:
+        ee = run(config).empirical_ee
+    return (ee - baseline_ee) / baseline_ee
 
 
 def ee_vs_threshold_curve(
@@ -246,6 +290,9 @@ def delay_outage_curve(
     """Measured delay-outage frequency for several delay bounds, all counted
     on one sample path (config's own delay_bound is ignored)."""
     for d in delay_bounds:
+        # NaN fails every comparison, so the range check alone lets it in.
+        if not math.isfinite(d):
+            raise DomainError(f"delay_bound must be finite, got {d}")
         if d <= 0.0:
             raise DomainError("delay bounds must be positive")
     tally = _walk(config, tuple(delay_bounds))

@@ -16,6 +16,7 @@ from eelink import (
     improvement_vs_baseline,
     run,
 )
+from eelink import sim
 from eelink.channel import sample_gains
 from eelink.sim import QUEUE_GUARD_BITS, _BLOCK_SLOTS
 
@@ -158,11 +159,17 @@ class TestBlocks:
     """The blockwise pass against the whole-array form at block edges."""
 
     @pytest.mark.parametrize("num_slots", [1, C - 1, C, C + 1, 2 * C + 1])
-    @pytest.mark.parametrize("m", [0.5, 2.0, 5.5])
-    def test_num_slots_across_block_edges(self, params, num_slots, m):
+    @pytest.mark.parametrize(
+        "m, gamma0",
+        [pytest.param(m, 0.6, id=str(m)) for m in (0.5, 2.0, 5.5)]
+        # Every slot transmits; and no draw reaches the threshold, so every
+        # slot serves log2(1) = 0 bits and the queue holds every arrival.
+        + [pytest.param(m, g, id=f"{m}-gamma0={g}") for m in (0.5, 2.0, 5.5) for g in (0.0, 1e3)],
+    )
+    def test_num_slots_across_block_edges(self, params, num_slots, m, gamma0):
         link = dataclasses.replace(params, fading_m=m)
         assert_matches_whole_array(
-            config(link, 8e5, 0.6, num_slots=num_slots, seed=11, delay_bound=0.01)
+            config(link, 8e5, gamma0, num_slots=num_slots, seed=11, delay_bound=0.01)
         )
 
     @pytest.mark.parametrize("warmup", [C // 2, C, C + C // 3])
@@ -215,6 +222,30 @@ class TestImprovement:
     def test_overflow_guard(self, params):
         with pytest.raises(QueueOverflowError):
             improvement_vs_baseline(config(params, 1e13, 0.5, num_slots=500))
+
+    def test_queue_walk_and_count_agree(self, params, monkeypatch):
+        cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
+        runs = []
+
+        def counted_run(config):
+            runs.append(config)
+            return run(config)
+
+        monkeypatch.setattr(sim, "run", counted_run)
+        counted = improvement_vs_baseline(cfg)
+        assert runs == []
+        # The arrived bits now exceed half the guard, the queue stays far below it.
+        arrived_bits = cfg.arrival_rate * params.slot_duration * cfg.num_slots
+        monkeypatch.setattr(sim, "QUEUE_GUARD_BITS", arrived_bits)
+        walked = improvement_vs_baseline(cfg)
+        assert runs == [cfg]
+        assert walked == counted
+
+    def test_count_route_zero_mean_power_is_a_domain_error(self, params, monkeypatch):
+        monkeypatch.setattr(sim, "run", None)  # the count route never runs the queue
+        link = dataclasses.replace(params, circuit_power=0.0)
+        with pytest.raises(DomainError, match="mean power is 0 W"):
+            improvement_vs_baseline(config(link, 1e5, 400.0, num_slots=1000))
 
 
 class TestCurve:
@@ -277,6 +308,11 @@ class TestDelayTail:
     def test_nonpositive_bound_rejected(self, params):
         with pytest.raises(DomainError):
             delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [0.01, 0.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_bound_rejected(self, params, value):
+        with pytest.raises(DomainError, match="delay_bound must be finite"):
+            delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [value, 0.01])
 
     def test_waiting_time_scale(self, params):
         # One fluid-FIFO sanity point: outage at a bound beyond the largest

@@ -7,6 +7,7 @@ in linear units only.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -144,13 +145,14 @@ def default_params() -> SystemParams:
 def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
     """Density of the unit-mean channel power gain at the given point, or
     elementwise over an array of points (then an array comes back). A Python
-    float takes a path in `math` alone, so scalar callers load no numpy."""
+    float takes a path in `math` alone, so scalar callers load no numpy. A
+    negative or non-finite gain, NaN included, raises DomainError."""
     m = params.fading_m
     # In log space, so m^m and g^(m - 1) cannot overflow. At g = 0 the power
     # term is -inf or +inf as m is above or below 1, giving density 0 or inf.
     if isinstance(gain, float):
-        if gain < 0.0:
-            raise DomainError(f"gain must be nonnegative, got {gain}")
+        if not 0.0 <= gain < math.inf:  # NaN included
+            raise DomainError(f"gain must be nonnegative and finite, got {gain}")
         power = 0.0
         if m != 1.0:
             power = (m - 1.0) * (math.log(gain) if gain > 0.0 else -math.inf)
@@ -158,11 +160,17 @@ def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
     import numpy as np
 
     g = np.asarray(gain, dtype=float)
-    if (g < 0.0).any():
-        raise DomainError(f"gain must be nonnegative, got {g.min()}")
+    # A NaN carries through both reductions; their initial values pass an
+    # empty array.
+    lo, hi = g.min(initial=math.inf), g.max(initial=0.0)
+    if not (0.0 <= lo and hi < math.inf):
+        raise DomainError(
+            f"gain must be nonnegative and finite, got {hi if lo >= 0.0 else lo}"
+        )
     power = 0.0
     if m != 1.0:
-        with np.errstate(divide="ignore"):
+        # log 0 = -inf is meant; quadrature nodes never sit exactly on 0.
+        with np.errstate(divide="ignore") if lo == 0.0 else contextlib.nullcontext():
             power = (m - 1.0) * np.log(g)
     density = np.exp(params._log_density_norm + power - m * g)
     return float(density) if density.ndim == 0 else density

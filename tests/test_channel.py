@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,31 @@ class TestDensity:
             pdf(params, -0.1)
         with pytest.raises(DomainError):
             pdf(params, np.array([0.5, -1e-3, 2.0]))
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_gain_rejected(self, params, m, bad):
+        p = dataclasses.replace(params, fading_m=m)
+        with pytest.raises(DomainError, match="gain must be nonnegative and finite"):
+            pdf(p, bad)
+        with pytest.raises(DomainError, match="gain must be nonnegative and finite"):
+            pdf(p, np.array([0.5, bad, 2.0]))
+
+    def test_empty_array(self, params):
+        got = pdf(params, np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_zero_entries_match_scalar_without_warning(self, params, m):
+        # log 0 = -inf is meant at m != 1; the array path must not warn.
+        p = dataclasses.replace(params, fading_m=m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pdf(p, np.array([0.0, 0.0, 1.0, 0.0]))
+            zeros = pdf(p, np.zeros(3))
+        assert got[[0, 1, 3]].tolist() == [pdf(p, 0.0)] * 3
+        assert zeros.tolist() == [pdf(p, 0.0)] * 3
+        assert got[2] == pytest.approx(pdf(p, 1.0), rel=1e-15)
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.5])
     def test_array_matches_scalar(self, params, m):

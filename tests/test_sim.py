@@ -185,6 +185,22 @@ class TestBlocks:
         with pytest.raises(QueueOverflowError, match=f"at slot {overflow_slot};"):
             run(cfg)
 
+    @pytest.mark.parametrize("m", [0.5, 2.0, 5.5])
+    def test_each_slot_service_bit_for_bit(self, params, m):
+        # A one-slot run whose arrival a sits just above that slot's service
+        # s: its only partial sum a - s is near 0 and exact (a and s are
+        # within a factor of 2), so max_queue moves with the last bit of s.
+        link = dataclasses.replace(params, fading_m=m)
+        rate_scale = link.slot_duration * link.bandwidth
+        for seed in range(48):
+            gain = sample_gains(link, np.random.default_rng(seed), 1)
+            service = float(rate_scale * np.log2(1.0 + link.mean_snr * gain)[0])
+            cfg = config(link, service * (1.0 + 1e-9) / link.slot_duration, 0.0,
+                         num_slots=1, seed=seed)
+            report = run(cfg)
+            assert report.max_queue == cfg.arrival_rate * link.slot_duration - service
+            assert report.max_queue > 0.0
+
     def test_memory_does_not_grow_with_slots(self, params):
         def peak(num_slots):
             cfg = config(params, 1519.7e3, 0.53, num_slots=num_slots, delay_bound=0.01)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eelink import DomainError, QuadratureError, integrate, upper_incomplete_gamma
+from eelink import (
+    DomainError,
+    QuadratureError,
+    analysis,
+    default_params,
+    integrate,
+    tail_probability,
+    upper_incomplete_gamma,
+)
 
 # Frozen anchors computed by 40-digit arithmetic before the build.
 GAMMA_ANCHORS = [
@@ -24,6 +33,68 @@ def rel(a, b):
 def gamma_fn(v):
     # The complete gamma function as the library exposes it: Gamma(v, 0).
     return upper_incomplete_gamma(v, 0.0)
+
+
+def level_by_level(f, lo):
+    """The exp-sinh rule as defined: each level's nodes and weights built
+    from scratch and f called once per level, halving the step from 1/16
+    over |t| <= 4.5 until two successive sums agree. integrate must return
+    its bits."""
+    total = 0.0
+    for level in range(6):
+        h = 1.0 / 16.0 / 2**level
+        k = np.arange(-math.floor(4.5 / h), math.floor(4.5 / h) + 1)
+        t = k[k % 2 == 1] * h if level else k * h
+        exp_x = np.exp(0.5 * math.pi * np.sinh(t))
+        exp_w = h * exp_x * (0.5 * math.pi * np.cosh(t))
+        previous, total = total, 0.5 * total + float(np.dot(f(lo + exp_x), exp_w))
+        if level and abs(total - previous) <= max(1e-14, 1e-10 * abs(total)):
+            return total
+    raise AssertionError(f"the reference rule missed its tolerance over [{lo}, inf)")
+
+
+def counted(f):
+    """f, recording the size of every array it is called with."""
+
+    def wrapper(w):
+        wrapper.sizes.append(w.size)
+        return f(w)
+
+    wrapper.sizes = []
+    return wrapper
+
+
+# TestIntegrate's integrands, by id, with their lower ends.
+INTEGRANDS = {
+    "exponential": (lambda w: np.exp(-w), 0.0),
+    "gain-density": (lambda w: 4.0 * w * np.exp(-2.0 * w), 0.0),
+    "gain-density-tail": (lambda w: 4.0 * w * np.exp(-2.0 * w), 0.5323),
+    "sqrt-sing-inf": (lambda w: w**-0.5 * np.exp(-w), 0.0),
+    "log-sing": (lambda w: -np.log(w) * np.exp(-w), 0.0),
+    "cos": (lambda w: np.cos(3.0 * w) * np.exp(-w), 0.0),
+    "neg-order-tail": (lambda w: w**-3.5 * np.exp(-w), 10.0),
+    "algebraic-decay": (lambda w: 1.0 / (1.0 + w * w), 0.0),
+}
+
+
+def link_integrands(monkeypatch, m):
+    """The deficit, kernel and mean-rate integrands as analysis builds them,
+    with their lower ends, caught on their way into integrate."""
+    seen = []
+
+    def spy(f, lo):
+        seen.append((f, lo))
+        return integrate(f, lo)
+
+    monkeypatch.setattr(analysis, "integrate", spy)
+    link = dataclasses.replace(default_params(), fading_m=m)
+    for theta, gamma0 in ((1e-4, 0.0), (1e-5, 0.7), (1e-2, 0.0), (3e-2, 0.4)):
+        p_tr = tail_probability(link, gamma0)
+        analysis._log_mgf_quadrature(link, theta, gamma0, p_tr)
+    for gamma0 in (0.0, 1.3):
+        analysis.mean_service_rate(link, gamma0)
+    monkeypatch.undo()
+    return seen
 
 
 class TestGammaFn:
@@ -193,6 +264,48 @@ class TestIntegrate:
         for lo in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="lo must be finite"):
                 integrate(np.exp, lo)
+
+    @pytest.mark.parametrize("name", list(INTEGRANDS))
+    def test_bits_match_the_rule_level_by_level(self, name):
+        f, lo = INTEGRANDS[name]
+        assert integrate(f, lo) == level_by_level(f, lo)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 5.5])
+    def test_link_integrands_match_the_rule_level_by_level(self, monkeypatch, m):
+        integrands = link_integrands(monkeypatch, m)
+        # Two deficits, two deficit-kernel pairs (1 - F > 1/2 at the larger
+        # theta) and two mean rates.
+        assert len(integrands) == 8
+        for f, lo in integrands:
+            assert integrate(f, lo) == level_by_level(f, lo)
+
+    def test_levels_0_and_1_take_one_call(self):
+        # 145 level-0 nodes and 144 new level-1 nodes in one array; the sums
+        # agree at level 1, so no other call follows.
+        f = counted(lambda w: np.exp(-w))
+        integrate(f, 0.0)
+        assert f.sizes == [289]
+
+    @pytest.mark.parametrize(
+        "f,sizes",
+        [
+            # Slow decay agrees at level 2, a fast oscillation only at level 5.
+            (lambda w: np.exp(-0.01 * w), [289, 288]),
+            (lambda w: np.cos(10.0 * w) * np.exp(-w), [289, 288, 576, 1152, 2304]),
+        ],
+        ids=["level-2", "level-5"],
+    )
+    def test_later_levels_take_one_call_each(self, f, sizes):
+        counted_f = counted(f)
+        assert integrate(counted_f, 0.0) == level_by_level(f, 0.0)
+        assert counted_f.sizes == sizes
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_level_0_sum(self, value):
+        f = counted(lambda w: np.full_like(w, value))
+        with pytest.raises(QuadratureError, match="quadrature sum is not finite"):
+            integrate(f, 0.0)
+        assert f.sizes == [289]
 
     def test_budget_exhaustion(self):
         # A jump inside the range: the sums keep moving by about the step

@@ -14,7 +14,9 @@ improvement_vs_baseline needs only the share of transmitting slots. It
 skips the queue whenever the bits that arrive over the whole run are at
 most half the stability guard: the backlog never exceeds them, so the guard
 cannot fire, and the same gains are drawn and counted, so the result is the
-same float as with the queue.
+same float as with the queue. Every completed walk leaves its count behind,
+keyed by what decides it, so a call after run on an equal config makes no
+pass at all.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .analysis import METHOD_CLOSED, QosSpec, effective_capacity, mean_service_rate
+from .analysis import METHOD_EXACT, QosSpec, effective_capacity, mean_service_rate
 from .channel import SystemParams, sample_gains
 from .errors import DomainError, QueueOverflowError, _require_finite
 
@@ -31,6 +33,10 @@ QUEUE_GUARD_BITS = 1e12
 # Slots per block of the simulator's pass: a run holds a few arrays of this
 # length at a time, whatever its num_slots.
 _BLOCK_SLOTS = 1 << 16
+# The transmitting-slot count of the last walk that completed, as
+# (_count_key(config), count); None before the first. One tuple, replaced
+# whole, so a reader never sees a key beside another walk's count.
+_last_count: tuple[tuple, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,16 @@ class SimConfig:
     warmup_slots: int | None = None
 
     def __post_init__(self) -> None:
+        import numbers  # here, not at import: numpy loads it anyway for a run
+
         _require_finite(self)
+        for name in ("num_slots", "seed", "warmup_slots"):
+            value = getattr(self, name)
+            if name == "warmup_slots" and value is None:
+                continue
+            # bool is an Integral too, but seed=True is a slip, not seed 1.
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.arrival_rate <= 0.0:
             raise DomainError("arrival_rate must be positive")
         if self.gamma0 < 0.0:
@@ -106,14 +121,23 @@ class _Tally:
     queue_max: float
 
 
+def _count_key(config: SimConfig) -> tuple:
+    """Everything that decides a walk's transmitting-slot count: the gain
+    law (params), the gain stream (seed, num_slots), the counted slots
+    (warmup) and the threshold. The load and the delay bound do not."""
+    return (config.params, config.seed, config.num_slots, config.resolved_warmup(), config.gamma0)
+
+
 def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True) -> _Tally:
     """Simulate config.num_slots slots in blocks of _BLOCK_SLOTS and tally
     the post-warmup statistics, counting outages for every delay bound.
 
     Raises QueueOverflowError at the first slot whose backlog passes the
     stability guard. With queue=False only the gains are drawn and the
-    transmitting slots counted: no queue, no guard.
+    transmitting slots counted: no queue, no guard. A walk that completes
+    records its count in _last_count.
     """
+    global _last_count
     import numpy as np
 
     p = config.params
@@ -174,6 +198,7 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True
                 outages[i] += int(np.count_nonzero(waits > d))
         queue_sum += float(q.sum())
         queue_max = max(queue_max, float(q.max()))
+    _last_count = (_count_key(config), transmitted)
     return _Tally(
         slots=config.num_slots - warmup,
         transmitted=transmitted,
@@ -239,15 +264,21 @@ def improvement_vs_baseline(config: SimConfig) -> float:
     that arrived, so when arrival_rate * slot_duration * num_slots is at
     most half of QUEUE_GUARD_BITS (the other half is room for rounding) the
     guard cannot fire, and the pass only draws the same gains and counts
-    the transmitting slots. The result is the same float as run's, bit for
-    bit.
+    the transmitting slots. After run (or any walk) on a config that differs
+    at most in arrival_rate or delay_bound, that count is already known and
+    no pass is made. The result is the same float as run's, bit for bit.
     """
     p = config.params
     baseline_ee = config.arrival_rate / (p.circuit_power + p.tx_power)
     arrived_bits = config.arrival_rate * p.slot_duration * config.num_slots
     if arrived_bits <= QUEUE_GUARD_BITS / 2:
-        tally = _walk(config, (), queue=False)
-        ee = config.arrival_rate / _mean_power(p, tally.transmitted / tally.slots)
+        last = _last_count
+        if last is not None and last[0] == _count_key(config):
+            transmitted = last[1]
+        else:
+            transmitted = _walk(config, (), queue=False).transmitted
+        p_tr_hat = transmitted / (config.num_slots - config.resolved_warmup())
+        ee = config.arrival_rate / _mean_power(p, p_tr_hat)
     else:
         ee = run(config).empirical_ee
     return (ee - baseline_ee) / baseline_ee
@@ -269,7 +300,7 @@ def ee_vs_threshold_curve(
     points: list[CurvePoint] = []
     for g in gamma0_values:
         if qos is not None:
-            sustainable = effective_capacity(config.params, qos, g, METHOD_CLOSED)
+            sustainable = effective_capacity(config.params, qos, g, METHOD_EXACT)
         else:
             sustainable = mean_service_rate(config.params, g)
         unstable = config.arrival_rate > sustainable

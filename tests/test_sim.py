@@ -31,6 +31,27 @@ def config(params, mu, gamma0, **kw):
     return SimConfig(params=params, arrival_rate=mu, gamma0=gamma0, **kw)
 
 
+@pytest.fixture(autouse=True)
+def no_remembered_count(monkeypatch):
+    """Each test starts with no transmitting-slot count left by another."""
+    monkeypatch.setattr(sim, "_last_count", None)
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """The queue-free count passes made from here on, one config each."""
+    passes = []
+    walk = sim._walk
+
+    def counted_walk(config, delay_bounds, queue=True):
+        if not queue:
+            passes.append(config)
+        return walk(config, delay_bounds, queue)
+
+    monkeypatch.setattr(sim, "_walk", counted_walk)
+    return passes
+
+
 class TestRun:
     def test_published_point_high_rate(self, params):
         report = run(config(params, 1519.7e3, 0.53))
@@ -106,6 +127,21 @@ class TestRun:
         for bound in (0.0, -1.0):
             with pytest.raises(DomainError, match="delay_bound must be positive"):
                 config(params, 1e5, 0.5, delay_bound=bound)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", 2.0), ("seed", True), ("seed", None),
+         ("num_slots", 1000.5), ("num_slots", 1000.0), ("num_slots", False),
+         ("warmup_slots", 10.5), ("warmup_slots", True)],
+    )
+    def test_counts_must_be_integers(self, params, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            config(params, 1e5, 0.5, **{"num_slots": 1000, field: value})
+
+    def test_numpy_integer_counts_run_as_their_value(self, params):
+        cfg = config(params, 1e5, 0.5, num_slots=np.int32(1000), seed=np.int64(SEED),
+                     warmup_slots=np.uint16(50))
+        assert run(cfg) == run(config(params, 1e5, 0.5, num_slots=1000, warmup_slots=50))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["arrival_rate", "gamma0", "delay_bound"])
@@ -230,6 +266,7 @@ class TestImprovement:
         cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
         gated = run(cfg)
         baseline = run(dataclasses.replace(cfg, gamma0=0.0))
+        sim._last_count = None  # the count pass, not run's remembered count
         gain = improvement_vs_baseline(cfg)
         assert gain == (gated.empirical_ee - baseline.empirical_ee) / baseline.empirical_ee
         full_power = params.circuit_power + params.tx_power
@@ -257,6 +294,56 @@ class TestImprovement:
         assert runs == [cfg]
         assert walked == counted
 
+    @pytest.mark.parametrize("mu, gamma0", [(1519.7e3, 0.53), (300e3, 1.73)])
+    def test_after_run_the_count_is_reused_bit_for_bit(self, params, mu, gamma0, count_passes):
+        cfg = config(params, mu, gamma0, delay_bound=0.01)
+        cold = improvement_vs_baseline(cfg)
+        assert count_passes == [cfg]
+        sim._last_count = None
+        report = run(cfg)
+        warm = improvement_vs_baseline(cfg)
+        assert count_passes == [cfg]
+        assert warm == cold
+        full_power = params.circuit_power + params.tx_power
+        assert warm == pytest.approx(full_power / report.mean_power - 1.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"params": {"fading_m": 3.0}}, {"seed": SEED + 1}, {"num_slots": C + 2},
+         {"warmup_slots": 10}, {"gamma0": 0.6}],
+        ids=["fading_m", "seed", "num_slots", "warmup_slots", "gamma0"],
+    )
+    def test_a_change_to_the_count_makes_a_pass(self, params, change, count_passes):
+        cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
+        run(cfg)
+        link = change.pop("params", None)
+        if link is not None:
+            change["params"] = dataclasses.replace(params, **link)
+        other = dataclasses.replace(cfg, **change)
+        warm = improvement_vs_baseline(other)
+        assert count_passes == [other]
+        sim._last_count = None
+        assert improvement_vs_baseline(other) == warm
+
+    @pytest.mark.parametrize("change", [{"arrival_rate": 300e3}, {"delay_bound": 0.01}])
+    def test_load_and_delay_bound_make_no_pass(self, params, change, count_passes):
+        cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
+        run(cfg)
+        other = dataclasses.replace(cfg, **change)
+        warm = improvement_vs_baseline(other)
+        assert count_passes == []
+        sim._last_count = None
+        assert improvement_vs_baseline(other) == warm
+
+    def test_an_overflowed_run_leaves_no_count(self, params):
+        kept = config(params, 1519.7e3, 0.53, num_slots=1000)
+        run(kept)
+        remembered = sim._last_count
+        with pytest.raises(QueueOverflowError):
+            run(config(params, 1e13, 0.5, num_slots=500))
+        assert sim._last_count is remembered
+        assert remembered[0] == sim._count_key(kept)
+
     def test_count_route_zero_mean_power_is_a_domain_error(self, params, monkeypatch):
         monkeypatch.setattr(sim, "run", None)  # the count route never runs the queue
         link = dataclasses.replace(params, circuit_power=0.0)
@@ -283,13 +370,23 @@ class TestCurve:
         assert points[1].report is not None  # guard not tripped, run kept
 
     def test_any_fading_m(self, params, qos_1e4):
-        # The stability flag follows the closed-form capacity at m = 3 too:
-        # about 899.6e3, 369.4e3 and 133.2e3 bit/s at the three thresholds.
+        # The stability flag follows the exact capacity at m = 3 too: about
+        # 899.6e3, 369.4e3 and 133.2e3 bit/s at the three thresholds.
         rician_like = dataclasses.replace(params, fading_m=3.0)
         points = ee_vs_threshold_curve(
             config(rician_like, 300e3, 0.0, num_slots=20_000), [1.0, 1.5, 2.0], qos=qos_1e4
         )
         assert [pt.unstable for pt in points] == [False, False, True]
+        assert all(pt.report is not None for pt in points)
+
+    def test_flags_follow_the_exact_capacity_on_a_low_snr_link(self, params, qos_1e4):
+        # At 1 uW the closed-form capacity is negative (-2.26e6, -1.64e6 and
+        # -8.9e5 bit/s); the exact one is 56.1, 51.6 and 38.0 bit/s.
+        faint = dataclasses.replace(params, tx_power=1e-6)
+        points = ee_vs_threshold_curve(
+            config(faint, 10.0, 0.0, num_slots=5_000), [0.0, 0.5, 1.0], qos=qos_1e4
+        )
+        assert [pt.unstable for pt in points] == [False, False, False]
         assert all(pt.report is not None for pt in points)
 
     def test_single_point_curve(self, params):

@@ -10,7 +10,9 @@ one incomplete gamma per term, where snr gamma0 >= 2 and a running error
 bound shows log F good to a quarter of 1e-12 relative, and integrates the
 kernel numerically everywhere else (gamma0 = 0, low mean SNR, theta so
 small that 1 - F cancels, and orders beyond those its error model was
-calibrated on).
+calibrated on). Where a bound that needs no incomplete gamma already fails
+the series' final test, mostly at such small theta, the series is declined
+before its first incomplete gamma.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .channel import SystemParams, pdf, tail_probability
+from .channel import SystemParams, _density, pdf, tail_probability
 from .errors import DomainError, _require_finite
 from .special import (
     _lower_series_scaled,
     _upper_gamma_calibrated,
     _upper_gamma_rel_error,
+    _upper_gamma_rel_floor,
     integrate,
     upper_incomplete_gamma,
 )
@@ -169,10 +172,26 @@ def _log_mgf_series(
     tail_by_gamma = m % 1.0 or z >= 700.0
     if not _upper_gamma_calibrated(w, z) or tail_by_gamma and not _upper_gamma_calibrated(m, z):
         return None
+    log_z = math.log(z)
+    # The error terms that need no Gamma(w, z). p_tr's: channel.
+    # tail_probability's finite sum at an integer m, Gamma(m, z) / Gamma(m)
+    # otherwise. T's relative error from its prefactor (math.gamma is exact
+    # at integer m up to 23) and from the rounding of v = m + a, through
+    # d log T / dv.
+    if tail_by_gamma:
+        gamma_m = math.gamma(m)
+        p_err = p_tr * (_upper_gamma_rel_error(m, z, p_tr * gamma_m) + 2.0 * _EPS)
+    else:
+        p_err = p_tr * _EPS * (m + 1.0) / 2
+    log_pre = a * params._log_snr_per_m
+    exact_gamma = m <= 23.0 and m % 1.0 == 0.0
+    d_log_t = 2.0 + math.log1p(abs(v) + z) + (abs(log_z) if v < 1.0 else 0.0)
+    t_rel = _EPS * (1.5 * abs(log_pre) + (2.0 if exact_gamma else 6.0)) + math.ulp(v) / 2 * d_log_t
+    if _series_refused(params, a, p_tr, z, log_z, p_err, t_rel):
+        return None
     head = upper_incomplete_gamma(w, z)
     if head < sys.float_info.min:
         return None
-    log_z = math.log(z)
     try:
         edge = math.exp((w - 1.0) * log_z - z)  # x^k z^(w - 1) e^-z
     except OverflowError:
@@ -202,25 +221,12 @@ def _log_mgf_series(
             break
     else:
         return None
-    log_pre = a * params._log_snr_per_m
     scale = math.exp(log_pre) / math.gamma(m)
     t = scale * total
     if not t > 0.0:  # T > 0; a sum that rounds to 0 or below vouches for nothing
         return None
-    # T's error: the sum's, the prefactor's (math.gamma is exact at integer
-    # m up to 23), and the rounding of v = m + a, through d log T / dv.
-    exact_gamma = m <= 23.0 and m % 1.0 == 0.0
-    d_log_t = 2.0 + math.log1p(abs(v) + z) + (abs(log_z) if v < 1.0 else 0.0)
-    t_err = scale * (carried + (k + 1) * _EPS / 2 * spread + abs(term)) + t * (
-        _EPS * (1.5 * abs(log_pre) + (2.0 if exact_gamma else 6.0)) + math.ulp(v) / 2 * d_log_t
-    )
-    # p_tr's error: channel.tail_probability's finite sum at an integer m,
-    # Gamma(m, z) / Gamma(m) otherwise.
-    if tail_by_gamma:
-        gamma_m = math.gamma(m)
-        p_err = p_tr * (_upper_gamma_rel_error(m, z, p_tr * gamma_m) + 2.0 * _EPS)
-    else:
-        p_err = p_tr * _EPS * (m + 1.0) / 2
+    # T's error: the sum's, then the prefactor's and v's.
+    t_err = scale * (carried + (k + 1) * _EPS / 2 * spread + abs(term)) + t * t_rel
     # The rounding of z = m gamma0 moves F by about z eps relative.
     deficit = p_tr - t
     if deficit <= 0.5:
@@ -239,6 +245,34 @@ def _log_mgf_series(
     return math.log(f)
 
 
+def _series_refused(
+    params: SystemParams, a: float, p_tr: float, z: float, log_z: float, p_err: float,
+    t_rel: float,
+) -> bool:
+    # Whether _log_mgf_series's final test must fail, by a bound that needs
+    # no Gamma(v, z), so the series can return None before its first one.
+    # For a < 0 the kernel (1 + snr g)^a is convex in g, so by Jensen
+    #   1 - F <= d_up = -p_tr expm1(a log1p(snr gbar)),
+    # with gbar = E[g | g >= gamma0] = 1 + gamma0 pdf(gamma0) / (m p_tr),
+    # that is 1 + z^m e^-z / (Gamma(m) m p_tr). As (snr g)^a >= (1 + snr g)^a,
+    # scale Gamma(v, z) >= T >= p_tr - d_up. The series' bound on the error
+    # of 1 - F is p_err plus at least p_tr - d_up times the first Gamma's
+    # relative error (at least _upper_gamma_rel_floor), the sum's rounding
+    # (at least eps, with spread >= Gamma(v, z) and k >= 1) and t_rel. Where
+    # d_up <= 1/4, the final test allows at most _SERIES_REL_ERR (1 - F).
+    # The 1% margin covers the rounding of this bound and of its inputs. A
+    # p_tr below the normal range is left to the series and its own tests.
+    if not p_tr >= sys.float_info.min:
+        return False
+    m = params.fading_m
+    g_bar = 1.0 + math.exp(m * log_z - z - params._lgamma_m - math.log(m * p_tr))
+    d_up = -p_tr * math.expm1(a * math.log1p(params.mean_snr * g_bar))
+    if not d_up <= 0.25:
+        return False
+    rel = _upper_gamma_rel_floor(m + a, z) + _EPS + t_rel
+    return (p_tr - d_up) * rel + p_err > 1.01 * _SERIES_REL_ERR * d_up
+
+
 def _log_mgf_quadrature(params: SystemParams, theta: float, gamma0: float, p_tr: float) -> float:
     # log F by exp-sinh quadrature of the true kernel over the tail.
     import numpy as np
@@ -249,7 +283,7 @@ def _log_mgf_quadrature(params: SystemParams, theta: float, gamma0: float, p_tr:
     # 1 - F, integrated as such: F = 1 - (1 - F) keeps full relative
     # accuracy in log F however small theta makes 1 - F.
     def deficit(g: np.ndarray) -> np.ndarray:
-        return -np.expm1(a * np.log1p(snr * g)) * pdf(params, g)
+        return -np.expm1(a * np.log1p(snr * g)) * _density(params, g)
 
     one_minus_f = integrate(deficit, gamma0)
     if one_minus_f <= 0.5:
@@ -257,7 +291,7 @@ def _log_mgf_quadrature(params: SystemParams, theta: float, gamma0: float, p_tr:
 
     # F is small here, so integrate it directly rather than as 1 - (1 - F).
     def kernel(g: np.ndarray) -> np.ndarray:
-        return np.exp(a * np.log1p(snr * g)) * pdf(params, g)
+        return np.exp(a * np.log1p(snr * g)) * _density(params, g)
 
     f = _idle_mass(params, gamma0, p_tr) + integrate(kernel, gamma0)
     if f == 0.0:
@@ -483,6 +517,6 @@ def mean_service_rate(params: SystemParams, gamma0: float) -> float:
     snr = params.mean_snr
 
     def integrand(g: np.ndarray) -> np.ndarray:
-        return params.bandwidth * np.log2(1.0 + snr * g) * pdf(params, g)
+        return params.bandwidth * np.log2(1.0 + snr * g) * _density(params, g)
 
     return integrate(integrand, gamma0)

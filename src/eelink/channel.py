@@ -167,13 +167,24 @@ def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
         raise DomainError(
             f"gain must be nonnegative and finite, got {hi if lo >= 0.0 else lo}"
         )
+    # log 0 = -inf is meant: the density at g = 0 is 0 or inf, as above.
+    with np.errstate(divide="ignore") if lo == 0.0 else contextlib.nullcontext():
+        density = _density(params, g)
+    return float(density) if density.ndim == 0 else density
+
+
+def _density(params: SystemParams, g: np.ndarray) -> np.ndarray:
+    # pdf's array formula, unchecked: g must be a float array of
+    # nonnegative, finite gains, and positive ones unless the caller lets
+    # log 0 divide. The quadratures call it on integrate's nodes lo + e^u,
+    # with lo finite and nonnegative.
+    import numpy as np
+
+    m = params.fading_m
     power = 0.0
     if m != 1.0:
-        # log 0 = -inf is meant; quadrature nodes never sit exactly on 0.
-        with np.errstate(divide="ignore") if lo == 0.0 else contextlib.nullcontext():
-            power = (m - 1.0) * np.log(g)
-    density = np.exp(params._log_density_norm + power - m * g)
-    return float(density) if density.ndim == 0 else density
+        power = (m - 1.0) * np.log(g)
+    return np.exp(params._log_density_norm + power - m * g)
 
 
 def tail_probability(params: SystemParams, threshold: float) -> float:

@@ -33,12 +33,38 @@ class ConfigError(ValueError):
 
 
 def _require_finite(obj) -> None:
-    """Raise DomainError if a float field of the dataclass obj is NaN or
-    infinite. NaN fails every comparison, so range checks alone let it in."""
+    """Raise DomainError unless each float field of the dataclass obj holds
+    a finite real number that is not a bool, or None where its annotation
+    allows None. NaN fails every comparison and a string fails them with a
+    bare TypeError, so range checks alone cannot refuse either."""
     # The class's field table: vars(obj) would give obj a real __dict__ and
     # slow every later attribute read on it (the hot loops read params and
-    # qos), and dataclasses.fields allocates on every call.
-    for name in obj.__dataclass_fields__:
+    # qos), and dataclasses.fields allocates on every call. Every dataclass
+    # that calls this is defined under `from __future__ import annotations`,
+    # so the annotations are strings.
+    for name, field in obj.__dataclass_fields__.items():
+        if field.type != "float" and field.type != "float | None":
+            continue
         value = getattr(obj, name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if value is None and field.type == "float | None":
+            continue
+        if not _is_real(value):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _is_real(value) -> bool:
+    # float and int first: numbers, which numpy scalars need, is imported
+    # only for a value of neither type. bool is an int, but True is a slip.
+    if isinstance(value, float):
+        return True
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    import numbers
+
+    return isinstance(value, numbers.Real)

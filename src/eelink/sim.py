@@ -54,6 +54,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         import numbers  # here, not at import: numpy loads it anyway for a run
 
+        if not isinstance(self.params, SystemParams):
+            raise DomainError(f"params must be a SystemParams, got {self.params!r}")
         _require_finite(self)
         for name in ("num_slots", "seed", "warmup_slots"):
             value = getattr(self, name)

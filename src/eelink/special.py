@@ -61,21 +61,19 @@ def _lower_series_scaled(v: float, z: float) -> float:
 def _upper_cf_scaled(v: float, z: float) -> float:
     # C such that Gamma(v, z) = z^v e^-z * C, by modified Lentz iteration.
     # Converges for z > 0; efficient once z >= v + 1.
+    # Every call has b >= 2 (z >= v + 1, or z >= 1.5 with v < 0.01), so an
+    # update that does not vanish lies far above tiny, and Lentz's guard
+    # against |d|, |c| < tiny comes down to replacing an exact 0.
     tiny = 1e-300
     b = z + 1.0 - v
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    d = 1.0 / (b or tiny)
     h = d
     for i in range(1, _MAX_TERMS):
         an = -i * (i - v)
         b += 2.0
-        d = an * d + b
-        if -tiny < d < tiny:
-            d = tiny
-        c = b + an / c
-        if -tiny < c < tiny:
-            c = tiny
-        d = 1.0 / d
+        d = 1.0 / (an * d + b or tiny)
+        c = b + an / c or tiny
         delta = d * c
         h *= delta
         if -_TERM_EPS <= delta - 1.0 <= _TERM_EPS:
@@ -164,14 +162,24 @@ def _upper_gamma_rel_error(v: float, z: float, value: float) -> float:
     #   lower part.
     # - Continued fraction: at most (0.6 size + 4 + 35 / z) eps relative;
     #   the fraction converges slowly, and gathers rounding, at small z.
+    if not (v >= 0.01 and z < v + 1.0):
+        return _upper_gamma_rel_floor(v, z)
     log_pre = v * math.log(z)
     size = abs(log_pre) + abs(log_pre - z)
-    if v >= 0.01 and z < v + 1.0:
-        complete = math.gamma(v)
-        bound = (3.2 * complete + 0.5 * (size + 1.0) * (complete - value)) / value
-    else:
-        bound = 0.6 * size + 4.0 + 35.0 / z
+    complete = math.gamma(v)
+    bound = (3.2 * complete + 0.5 * (size + 1.0) * (complete - value)) / value
     return 1.5 * _EPS * bound
+
+
+def _upper_gamma_rel_floor(v: float, z: float) -> float:
+    # The least _upper_gamma_rel_error(v, z, value) returns for any value,
+    # known before Gamma(v, z) is: the whole bound on the fraction route, and
+    # 1.5 * 3.2 eps on the series route, where value <= Gamma(v).
+    if v >= 0.01 and z < v + 1.0:
+        return 1.5 * _EPS * 3.2
+    log_pre = v * math.log(z)
+    size = abs(log_pre) + abs(log_pre - z)
+    return 1.5 * _EPS * (0.6 * size + 4.0 + 35.0 / z)
 
 
 # Double-exponential tables over |t| <= _DE_T. Level 0 has step _DE_H0 and

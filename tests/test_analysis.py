@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eelink import (
     METHOD_CLOSED,
@@ -21,7 +24,7 @@ from eelink import (
     tail_probability,
     upper_incomplete_gamma,
 )
-from eelink import analysis, channel
+from eelink import analysis, channel, errors
 from eelink.analysis import _logaddexp
 
 # Values frozen from 40-digit evaluation of the closed forms.
@@ -33,6 +36,8 @@ TREND_AT_025 = 0.14942636298342384
 TREND_AT_1 = -0.014368757787333229
 
 NONFINITE = (math.nan, math.inf, -math.inf)
+# Every exception type eelink.errors defines.
+ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
 
 
 class TestEffectiveCapacity:
@@ -431,6 +436,15 @@ class TestQosSpec:
         with pytest.raises(DomainError, match="theta must be finite"):
             QosSpec(theta=value)
 
+    @pytest.mark.parametrize("value", ["1e-4", True, None, 1e-4j])
+    def test_wrong_type_rejected(self, value):
+        with pytest.raises(DomainError, match="theta must be a real number"):
+            QosSpec(theta=value)
+
+    def test_numpy_scalars_and_ints_accepted(self):
+        assert QosSpec(theta=np.float32(0.5)).theta == 0.5
+        assert QosSpec(theta=np.int64(2)).theta == QosSpec(theta=2).theta == 2
+
 
 class TestFloatRange:
     """Points whose floats leave the range raise DomainError, each magnitude
@@ -576,6 +590,65 @@ class TestExactSeries:
                 expected = mpmath_log_mgf(mpmath, link, theta, g0)
                 got = log_service_mgf(link, QosSpec(theta=theta), g0, METHOD_EXACT)
                 assert abs(got - expected) <= 1e-12 * abs(expected), (theta, g0)
+
+    def test_refusal_only_where_the_series_refuses(self, params, monkeypatch):
+        # _series_refused turns the series down before its first Gamma by a
+        # bound that needs none. Run the whole series past it on seeded
+        # points, low-SNR links included: wherever the bound refuses, the
+        # series must end in None too.
+        refused = analysis._series_refused
+        verdicts = []
+
+        def record(*args):
+            verdicts.append(refused(*args))
+            return False
+
+        monkeypatch.setattr(analysis, "_series_refused", record)
+        rng = random.Random(22)
+        declined = turned_down = 0
+        for _ in range(6000):
+            m = rng.choice((rng.uniform(0.5, 20.0), float(rng.randint(1, 20))))
+            link = dataclasses.replace(
+                params, fading_m=m, tx_power=channel.dbm_to_watt(rng.uniform(-30.0, 46.0))
+            )
+            a = link.exponent_rate * 10 ** rng.uniform(-8.0, 0.0)
+            # Half the thresholds from 1 to 1000 times the series' cutoff.
+            cutoff = analysis._SERIES_MIN_SNR_GAMMA / link.mean_snr
+            g0 = rng.choice((10 ** rng.uniform(-6.0, 2.5), cutoff * 10 ** rng.uniform(0.0, 3.0)))
+            verdicts.clear()
+            series = analysis._log_mgf_series(link, a, g0, tail_probability(link, g0))
+            if verdicts and series is None:
+                declined += 1
+            if verdicts and verdicts[0]:
+                turned_down += 1
+                assert series is None, (m, link.tx_power, a, g0)
+        # The bound spares most of the declined points their Gamma calls.
+        assert declined >= 500 and turned_down >= 0.8 * declined, (declined, turned_down)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=st.floats(min_value=0.5, max_value=20.0),
+        tx_dbm=st.floats(min_value=0.0, max_value=46.0),
+        distance_km=st.floats(min_value=0.1, max_value=3.2),
+        log10_circuit=st.floats(min_value=-4.0, max_value=0.0),
+        log10_theta=st.floats(min_value=-8.0, max_value=0.0),
+        gamma0=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=316.0)),
+    )
+    def test_analyze_is_bounded_or_raises(self, params, m, tx_dbm, distance_km,
+                                          log10_circuit, log10_theta, gamma0):
+        # Every exact point either raises an eelink error or gives a finite
+        # effective capacity in [0, mean service rate], the theta -> 0 limit
+        # it cannot pass, and a nonnegative EE.
+        link = dataclasses.replace(params, fading_m=m, tx_power=channel.dbm_to_watt(tx_dbm),
+                                   distance_km=distance_km, path_loss=None,
+                                   circuit_power=10**log10_circuit)
+        try:
+            r = analyze(link, QosSpec(theta=10**log10_theta), gamma0, method=METHOD_EXACT)
+            ceiling = mean_service_rate(link, gamma0)
+        except ERRORS:
+            return
+        assert math.isfinite(r.effective_capacity) and r.ee >= 0.0
+        assert 0.0 <= r.effective_capacity <= ceiling * (1.0 + 1e-9) + 1e-300
 
 
 class TestExactIdleMass:

@@ -100,6 +100,23 @@ class TestSystemParams:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             dataclasses.replace(params, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("tx_power", "20"), ("fading_m", True), ("bandwidth", None), ("distance_km", "1"),
+        ("path_loss", np.bool_(True)),
+    ])
+    def test_wrong_type_rejected(self, params, field, value):
+        kw = {field: value}
+        if field == "path_loss":
+            kw["distance_km"] = None
+        with pytest.raises(DomainError, match=f"{field} must be a real number"):
+            dataclasses.replace(params, **kw)
+
+    def test_past_the_float_range_rejected(self, params):
+        # An int too large for a float would leave the SNR's division with
+        # a bare OverflowError.
+        with pytest.raises(DomainError, match="tx_power must be finite"):
+            dataclasses.replace(params, tx_power=10**400)
+
     @pytest.mark.parametrize("field, value, message", [
         ("tx_power", 0.0, "tx_power must be positive"),
         ("tx_power", -1.0, "tx_power must be positive"),

@@ -150,6 +150,26 @@ class TestRun:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             SimConfig(params=params, num_slots=100, seed=1, **kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_rate", "1e5"), ("arrival_rate", True), ("arrival_rate", None),
+        ("gamma0", None), ("gamma0", "0.5"), ("delay_bound", "0.1"), ("delay_bound", False),
+    ])
+    def test_wrong_type_rejected(self, params, field, value):
+        # A string fails the range checks with a bare TypeError, and True
+        # would pass them as 1.
+        kw = {"arrival_rate": 1e5, "gamma0": 0.5, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be a real number"):
+            SimConfig(params=params, num_slots=100, seed=1, **kw)
+
+    @pytest.mark.parametrize("value", [None, "default", {}])
+    def test_params_must_be_a_link(self, value):
+        with pytest.raises(DomainError, match="params must be a SystemParams"):
+            SimConfig(params=value, arrival_rate=1e5, gamma0=0.5, num_slots=100, seed=1)
+
+    def test_numpy_scalars_accepted(self, params):
+        cfg = config(params, np.float32(1e5), np.int64(0), delay_bound=np.float16(0.5))
+        assert (cfg.arrival_rate, cfg.gamma0, cfg.delay_bound) == (1e5, 0, 0.5)
+
 
 def whole_array_run(config):
     """The simulator as one pass over whole arrays: one gain draw, one

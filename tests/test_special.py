@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eelink import (
     analysis,
     default_params,
     integrate,
+    special,
     tail_probability,
     upper_incomplete_gamma,
 )
@@ -147,6 +149,40 @@ class TestUpperIncompleteGamma:
     def test_frozen_bits(self, v, z, bits):
         # The loops' stopping tests decide the last bits; these pin them.
         assert upper_incomplete_gamma(v, z) == float.fromhex(bits)
+
+    def test_fraction_guards_match_lentz_guards(self):
+        # The fraction replaces an update that is exactly 0 by tiny; Lentz's
+        # own guards replace any |update| below tiny. Every routed call has
+        # b >= 2, so the two agree bit for bit on the fraction's domain:
+        # orders of 0.01 and above from z = v + 1, lower ones from z = 1.5.
+        def lentz(v, z):
+            tiny = 1e-300
+            b = z + 1.0 - v
+            c = 1.0 / tiny
+            d = 1.0 / b if b != 0.0 else 1.0 / tiny
+            h = d
+            for i in range(1, 10_000):
+                an = -i * (i - v)
+                b += 2.0
+                d = an * d + b
+                if -tiny < d < tiny:
+                    d = tiny
+                c = b + an / c
+                if -tiny < c < tiny:
+                    c = tiny
+                d = 1.0 / d
+                delta = d * c
+                h *= delta
+                if -1e-15 <= delta - 1.0 <= 1e-15:
+                    return h
+            raise AssertionError("stalled")
+
+        rng = random.Random(20)
+        for _ in range(20_000):
+            v = rng.choice((rng.uniform(0.01, 171.0), rng.uniform(-300.0, 0.01),
+                            rng.uniform(-13.0, 0.01)))
+            z = (v + 1.0 if v >= 0.01 else 1.5) + rng.choice((0.0, 10 ** rng.uniform(-9, 3)))
+            assert special._upper_cf_scaled(v, z) == lentz(v, z), (v, z)
 
     def test_negative_integer_order(self):
         # The recurrence passes through the exponential integral at order 0.

@@ -4,19 +4,23 @@ Everything revolves around the per-slot service decay moment
 E[exp(-theta * s)], where s is the gated Shannon service in bits. Its log
 gives the effective capacity; dividing by the two-mode power budget gives
 the energy efficiency. For any fading m, the closed form takes the mean SNR
-as large, which folds the integral into an upper incomplete gamma. The exact
-route keeps the true kernel (1 + snr g)^a: it sums its binomial series,
-one incomplete gamma per term, where snr gamma0 >= 2 and a running error
-bound shows log F good to a quarter of 1e-12 relative, and integrates the
-kernel numerically everywhere else (gamma0 = 0, low mean SNR, theta so
-small that 1 - F cancels, and orders beyond those its error model was
-calibrated on). Where a bound that needs no incomplete gamma already fails
-the series' final test, mostly at such small theta, the series is declined
-before its first incomplete gamma.
+as large, which folds the integral into an upper incomplete gamma,
+Gamma(m + a, m gamma0) with a = -theta T B log2 e. It does not depend on the
+link's powers or distance, so its log is kept in a bounded memo that every
+link, search and sweep in the process shares; a hit has the bits of a fresh
+call, and an error is never kept. The exact route keeps the true kernel
+(1 + snr g)^a: it sums its binomial series, one incomplete gamma per term,
+where snr gamma0 >= 2 and a running error bound shows log F good to a
+quarter of 1e-12 relative, and integrates the kernel numerically everywhere
+else (gamma0 = 0, low mean SNR, theta so small that 1 - F cancels, and
+orders beyond those its error model was calibrated on). Where a bound that
+needs no incomplete gamma already fails the series' final test, mostly at
+such small theta, the series is declined before its first incomplete gamma.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -47,6 +51,11 @@ _SERIES_REL_ERR = 2.5e-13
 # about half the one before once k passes |a|, and 60 terms reach eps.
 _SERIES_MIN_SNR_GAMMA = 2.0
 _SERIES_MAX_TERMS = 60
+# Entries the closed form's memo of log Gamma(m + a, m gamma0) keeps. One
+# link's solve (the optimum at each of several theta, two inversions and the
+# regime boundary) asks for about 165 distinct values and a sweep's grid for
+# 80, which links of the same m then share; 256 entries take about 50 KB.
+_CLOSED_TAIL_MEMO = 256
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,18 @@ def _logaddexp(x: float, y: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+@functools.lru_cache(maxsize=_CLOSED_TAIL_MEMO)
+def _log_closed_tail(v: float, z: float) -> float:
+    # log Gamma(v, z) for the closed form, with v = m + a and z = m gamma0:
+    # the link-free part of its service moment, which links of one m share
+    # across a theta set and a gamma0 grid. lru_cache keeps only what
+    # returns, so an error is raised afresh on each call.
+    tail = upper_incomplete_gamma(v, z)
+    if tail == 0.0:
+        raise DomainError(f"Gamma({v:.6g}, {z:.6g}) underflows the float range")
+    return math.log(tail)
+
+
 def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:
     # log E[exp(-theta s)] given p_idle from _modes. Large mean SNR replaces
     # 1 + snr g by snr g on the transmit side, whose integral is then
@@ -101,10 +122,8 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
         raise DomainError(
             f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-m / params.exponent_rate:.4e}"
         )
-    tail = upper_incomplete_gamma(m + a, m * gamma0)
-    if tail == 0.0:
-        raise DomainError(f"Gamma({m + a:.6g}, {m * gamma0:.6g}) underflows the float range")
-    log_tail = a * params._log_snr_per_m + math.log(tail) - params._lgamma_m
+    log_tail = a * params._log_snr_per_m + _log_closed_tail(m + a, m * gamma0)
+    log_tail -= params._lgamma_m
     if p_idle == 0.0:
         return log_tail
     return _logaddexp(math.log(p_idle), log_tail)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .analysis import (
     METHOD_CLOSED,
@@ -149,10 +149,15 @@ def find_optimal_threshold(params: SystemParams, qos: QosSpec) -> OptimumResult:
     def trend(g: float) -> tuple[float, float | None]:
         return _trend_and_slope(params, qos.theta, g, METHOD_CLOSED)
 
-    if not trend(GATING_RESOLUTION)[0] > 0.0:
+    # The gating check and the bracket's growth read only the sign, so they
+    # evaluate the trend without its slope.
+    def gated(g: float) -> bool:
+        return ee_trend(params, qos, g, METHOD_CLOSED) > 0.0
+
+    if not gated(GATING_RESOLUTION):
         bracket = (0.0, GATING_RESOLUTION)
         return OptimumResult(Regime.UNGATED, 0.0, ee_baseline, ee_baseline, 1, bracket)
-    upper, tried = _grow_bracket(lambda g: trend(g)[0] > 0.0, "trend indicator still positive")
+    upper, tried = _grow_bracket(gated, "trend indicator still positive")
     bracket = (GATING_RESOLUTION, upper)
     lower, upper, evals = _search(trend, *bracket, _EPSILON)
     mid = 0.5 * (lower + upper)
@@ -171,13 +176,20 @@ def find_theta_threshold(params: SystemParams, theta_lo: float, theta_hi: float)
     """
     if not 0.0 < theta_lo < theta_hi:
         raise DomainError("need 0 < theta_lo < theta_hi")
+    lo, hi = math.log(theta_lo), math.log(theta_hi)
+    # Every theta tried lies between exp(lo) and exp(hi), so once QosSpec has
+    # passed both ends it would pass them all, and one set of modes at the
+    # gating resolution serves every evaluation.
+    QosSpec(theta=math.exp(lo))
+    modes = _modes(params, GATING_RESOLUTION)
 
     def trend(log_theta: float) -> tuple[float, None]:
-        return ee_trend(params, QosSpec(theta=math.exp(log_theta)), GATING_RESOLUTION), None
+        theta = math.exp(log_theta)
+        return _point(params, theta, GATING_RESOLUTION, "G", METHOD_CLOSED, modes), None
 
-    lo, hi = math.log(theta_lo), math.log(theta_hi)
     if not trend(lo)[0] > 0.0:
         raise PreconditionError(f"no gated regime at theta_lo = {theta_lo}")
+    QosSpec(theta=math.exp(hi))
     if trend(hi)[0] > 0.0:
         raise PreconditionError(f"still gated at theta_hi = {theta_hi}")
 
@@ -212,7 +224,7 @@ def invert_effective_capacity(
 
 def sweep(
     params: SystemParams,
-    thetas: list[float],
+    thetas: Iterable[float],
     gamma0_range: tuple[float, float],
     quantity: str,
     steps: int,
@@ -223,13 +235,15 @@ def sweep(
     quantity is one of EE, alpha, G, F (energy efficiency, effective
     capacity, trend indicator, service decay moment). Every argument is
     checked before any point is evaluated: thetas nonempty and each a valid
-    QoS exponent, gamma0_range finite and increasing, steps an int of at
-    least 2. Each value is, bit for bit, what energy_efficiency,
+    QoS exponent, gamma0_range finite and increasing, steps an integer (not
+    a bool) of at least 2. thetas may be any iterable, a generator included;
+    it is read once. Each value is, bit for bit, what energy_efficiency,
     effective_capacity, ee_trend or service_mgf returns at that point, and
     the first point where that call raises raises the same error. The mode
     probabilities and power at each gamma0 are computed once for all
     thetas, and each point computes its service moment once.
     """
+    thetas = [] if thetas is None else list(thetas)
     if not thetas:
         raise DomainError("thetas must be nonempty")
     for theta in thetas:
@@ -239,7 +253,14 @@ def sweep(
         raise DomainError(f"gamma0_range must be finite and increasing, got {gamma0_range}")
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")
-    if not isinstance(steps, int) or steps < 2:
+    if type(steps) is not int:
+        import numbers  # here, not at import: only a non-int steps needs it
+
+        # bool is an Integral too, but steps=True is a slip, not 1 step.
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool):
+            raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
+        steps = int(steps)
+    if steps < 2:
         raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
 
     # numpy.linspace's grid, point for point: i * step + lo, ending on hi.

@@ -18,9 +18,13 @@ from eelink import (
     ee_trend,
     effective_capacity,
     energy_efficiency,
+    find_optimal_threshold,
+    find_theta_threshold,
+    invert_effective_capacity,
     log_service_mgf,
     mean_service_rate,
     service_mgf,
+    sweep,
     tail_probability,
     upper_incomplete_gamma,
 )
@@ -181,7 +185,9 @@ class TestEnergyEfficiency:
         # The tail probability is computed once, shared by the idle mass and
         # the power. At an integer m it is a finite sum, so the service
         # moment makes the only incomplete gamma call; at any other m the
-        # tail makes a second.
+        # tail makes a second. The closed form's memo starts empty, so no
+        # earlier test's point answers the call.
+        analysis._log_closed_tail.cache_clear()
         calls = []
 
         def counted(v, z):
@@ -204,6 +210,80 @@ class TestEnergyEfficiency:
         assert tail_probability(link, 400.0) == 0.0
         with pytest.raises(DomainError, match="total power is 0 W"):
             analyze(link, QosSpec(theta=1e-4), 400.0, method)
+
+
+def hex_floats(value):
+    """value with every float as its hex string, through lists, tuples and
+    dataclasses, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [hex_floats(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f: hex_floats(getattr(value, f)) for f in value.__dataclass_fields__}
+    return value
+
+
+# Closed-form work that reads the memo of log Gamma(m + a, m gamma0): the
+# paper's table points, a sweep and the three searches.
+MEMO_CASES = {
+    "table": lambda link: [
+        analyze(link, QosSpec(theta=theta), g)
+        for theta, g in ((1e-4, 0.5323), (1e-5, 1.6293), (1e-6, 1.6606), (1e-7, 1.6636))
+    ],
+    "sweep": lambda link: sweep(link, [1e-5, 1e-4], (0.0, 3.0), "EE", 40),
+    "optimum": lambda link: [
+        find_optimal_threshold(link, QosSpec(theta=theta)) for theta in (1e-5, 1e-4, 1e-3)
+    ],
+    "inversion": lambda link: invert_effective_capacity(link, QosSpec(theta=1e-4), 1e6),
+    "boundary": lambda link: find_theta_threshold(link, 1e-5, 1e-2),
+}
+
+
+@pytest.fixture
+def memo():
+    """The closed form's memo of log Gamma, emptied."""
+    analysis._log_closed_tail.cache_clear()
+    return analysis._log_closed_tail
+
+
+class TestClosedTailMemo:
+    @pytest.mark.parametrize("m", [2.0, 1.5])
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_warm_equals_cold(self, params, memo, case, m):
+        # The memo is warmed by the same work, then by the same work on
+        # another link of the same m; both give the cold bits.
+        run = MEMO_CASES[case]
+        link = dataclasses.replace(params, fading_m=m)
+        other = dataclasses.replace(link, tx_power=0.5 * link.tx_power, circuit_power=0.3)
+        cold = hex_floats(run(link))
+        hits = memo.cache_info().hits
+        assert hex_floats(run(link)) == cold
+        assert memo.cache_info().hits > hits
+        memo.cache_clear()
+        run(other)
+        assert hex_floats(run(link)) == cold
+
+    def test_refusal_is_not_kept(self, params, qos_1e4, memo):
+        # Gamma(1.974, 800) underflows: each call raises the same error
+        # afresh, and the memo keeps nothing.
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DomainError, match="underflows the float range") as raised:
+                analyze(params, qos_1e4, 400.0)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_size_is_bounded(self, params, memo):
+        # 20 theta rows of 20 thresholds ask for 400 distinct values.
+        sizes = []
+        for k in range(20):
+            sweep(params, [1e-5 * 1.3**k], (0.0, 3.0), "F", 20)
+            sizes.append(memo.cache_info().currsize)
+        assert memo.cache_info().maxsize == analysis._CLOSED_TAIL_MEMO
+        assert max(sizes) == sizes[-1] == analysis._CLOSED_TAIL_MEMO
 
 
 class TestServiceMgf:

@@ -28,7 +28,7 @@ from eelink import (
     service_mgf,
     sweep,
 )
-from eelink import optimize
+from eelink import analysis, optimize
 from eelink.analysis import _capacity_and_slope, _trend_and_slope
 from eelink.optimize import _EXTRA_EVALS, _grow_bracket, _search
 
@@ -133,18 +133,42 @@ class TestFindOptimalThreshold:
         assert r.ee_opt > r.ee_baseline
 
     def test_iterations_are_reported(self, params, qos_1e4, monkeypatch):
+        # The gating check and the bracket's growth evaluate the trend alone,
+        # the search the trend and its slope.
         evaluated = []
 
-        def counted(*args):
-            evaluated.append(args[2])
-            return _trend_and_slope(*args)
+        def counted(evaluate):
+            def wrapper(*args):
+                evaluated.append(args[2])
+                return evaluate(*args)
+            return wrapper
 
-        monkeypatch.setattr(optimize, "_trend_and_slope", counted)
+        monkeypatch.setattr(optimize, "_trend_and_slope", counted(_trend_and_slope))
+        monkeypatch.setattr(optimize, "ee_trend", counted(ee_trend))
         r = find_optimal_threshold(params, qos_1e4)
         # Bisection of [0, 1] takes 27 halvings: 28 trend evaluations with the
         # bracket's growth.
         assert r.iterations == len(evaluated) < 28
         assert r.bracket[0] <= r.gamma0_opt <= r.bracket[1]
+
+    def test_sign_checks_skip_the_slope(self, params, qos_1e4, monkeypatch):
+        # Only the search's steps need the slope, and with it the density.
+        densities, searched = [], []
+
+        def counted_pdf(*args):
+            densities.append(args[1])
+            return channel_pdf(*args)
+
+        def counted_trend(*args):
+            searched.append(args[2])
+            return _trend_and_slope(*args)
+
+        channel_pdf = analysis.pdf
+        monkeypatch.setattr(analysis, "pdf", counted_pdf)
+        monkeypatch.setattr(optimize, "_trend_and_slope", counted_trend)
+        r = find_optimal_threshold(params, qos_1e4)
+        assert densities == searched
+        assert len(searched) < r.iterations
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -291,6 +315,23 @@ class TestFindThetaThreshold:
     def test_bad_bracket(self, params):
         with pytest.raises(DomainError):
             find_theta_threshold(params, 1e-2, 1e-5)
+        # Gated at theta_lo, then refused as a QoS exponent.
+        with pytest.raises(DomainError, match="theta must be finite"):
+            find_theta_threshold(params, 1e-5, math.inf)
+
+    def test_tail_computed_once(self, params, monkeypatch):
+        # Every evaluation sits at the gating resolution, so one tail
+        # probability serves the whole search.
+        tails = []
+
+        def counted(*args):
+            tails.append(args[1])
+            return tail(*args)
+
+        tail = analysis.tail_probability
+        monkeypatch.setattr(analysis, "tail_probability", counted)
+        assert find_theta_threshold(params, 1e-5, 1e-2) == 0.0007186505989959361
+        assert tails == [GATING_RESOLUTION]
 
 
 class TestInvertEffectiveCapacity:
@@ -398,7 +439,11 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(params, [1e-4], (0.0, 1.0), "entropy", 10)
 
-    @pytest.mark.parametrize("steps", [2.5, 3.0, "3", None, 1, -4])
+    @pytest.mark.parametrize("steps", [
+        2.5, 3.0, "3", None, 1, -4, True, False,
+        pytest.param(np.int64(1), id="int64-1"), pytest.param(np.float64(3.0), id="float64-3"),
+        pytest.param(np.bool_(True), id="bool_-True"),
+    ])
     def test_steps_must_be_an_int_of_at_least_2(self, params, steps):
         with pytest.raises(DomainError, match="steps must be an int of at least 2"):
             sweep(params, [1e-4], (0.0, 3.0), "EE", steps)
@@ -409,6 +454,19 @@ class TestSweep:
     def test_range_must_be_finite_and_increasing(self, params, gamma0_range):
         with pytest.raises(DomainError, match="gamma0_range must be finite and increasing"):
             sweep(params, [1e-4], gamma0_range, "EE", 10)
+
+    def test_generator_of_thetas(self, params):
+        rows = sweep(params, [1e-4, 1e-5], (0.0, 1.0), "EE", 3)
+        assert len(rows) == 6
+        assert sweep(params, (t for t in [1e-4, 1e-5]), (0.0, 1.0), "EE", 3) == rows
+        with pytest.raises(DomainError, match="thetas must be nonempty"):
+            sweep(params, (t for t in []), (0.0, 1.0), "EE", 3)
+
+    def test_numpy_integer_steps(self, params):
+        rows = sweep(params, [1e-4], (0.0, 1.0), "F", 3)
+        got = sweep(params, [1e-4], (0.0, 1.0), "F", np.int64(3))
+        assert got == rows
+        assert all(type(g) is float for _, g, _ in got)
 
     def test_quantity_is_checked_before_any_point(self, params, monkeypatch):
         def no_points(*args):

@@ -6,9 +6,9 @@ gives the effective capacity; dividing by the two-mode power budget gives
 the energy efficiency. For any fading m, the closed form takes the mean SNR
 as large, which folds the integral into an upper incomplete gamma,
 Gamma(m + a, m gamma0) with a = -theta T B log2 e. It does not depend on the
-link's powers or distance, so its log is kept in a bounded memo that every
-link, search and sweep in the process shares; a hit has the bits of a fresh
-call, and an error is never kept. The exact route keeps the true kernel
+link's powers or distance, so each link keeps its log in a bounded memo that
+the link's searches and sweeps share; a hit has the bits of a fresh call,
+and an error is never kept. The exact route keeps the true kernel
 (1 + snr g)^a: it sums its binomial series, one incomplete gamma per term,
 where snr gamma0 >= 2 and a running error bound shows log F good to a
 quarter of 1e-12 relative, and integrates the kernel numerically everywhere
@@ -20,7 +20,6 @@ such small theta, the series is declined before its first incomplete gamma.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,10 +50,11 @@ _SERIES_REL_ERR = 2.5e-13
 # about half the one before once k passes |a|, and 60 terms reach eps.
 _SERIES_MIN_SNR_GAMMA = 2.0
 _SERIES_MAX_TERMS = 60
-# Entries the closed form's memo of log Gamma(m + a, m gamma0) keeps. One
-# link's solve (the optimum at each of several theta, two inversions and the
-# regime boundary) asks for about 165 distinct values and a sweep's grid for
-# 80, which links of the same m then share; 256 entries take about 50 KB.
+# Entries a link's memo of the closed form's log Gamma(m + a, m gamma0)
+# keeps. A paper-style solve of one link (the optimum at seven theta, two
+# inversions, the regime boundary, and EE, G and F sweeps over one grid of
+# 80 points) asks for 150 to 190 distinct values; a full memo takes about
+# 50 KB.
 _CLOSED_TAIL_MEMO = 256
 
 
@@ -98,16 +98,25 @@ def _logaddexp(x: float, y: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-@functools.lru_cache(maxsize=_CLOSED_TAIL_MEMO)
-def _log_closed_tail(v: float, z: float) -> float:
+def _log_closed_tail(params: SystemParams, v: float, z: float) -> float:
     # log Gamma(v, z) for the closed form, with v = m + a and z = m gamma0:
-    # the link-free part of its service moment, which links of one m share
-    # across a theta set and a gamma0 grid. lru_cache keeps only what
-    # returns, so an error is raised afresh on each call.
-    tail = upper_incomplete_gamma(v, z)
-    if tail == 0.0:
-        raise DomainError(f"Gamma({v:.6g}, {z:.6g}) underflows the float range")
-    return math.log(tail)
+    # the part of its service moment that the link's powers and distance do
+    # not enter, so the link's searches and sweeps at one theta and gamma0
+    # share it. The memo lives on the link, so it lasts as long as the link
+    # and no other link reads it; once full it drops its oldest entry. Only
+    # what returns is kept, so an error is raised afresh on each call.
+    memo = params._closed_tails
+    key = (v, z)
+    log_tail = memo.get(key)
+    if log_tail is None:
+        tail = upper_incomplete_gamma(v, z)
+        if tail == 0.0:
+            raise DomainError(f"Gamma({v:.6g}, {z:.6g}) underflows the float range")
+        log_tail = math.log(tail)
+        if len(memo) >= _CLOSED_TAIL_MEMO:
+            del memo[next(iter(memo))]
+        memo[key] = log_tail
+    return log_tail
 
 
 def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:
@@ -122,7 +131,7 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
         raise DomainError(
             f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-m / params.exponent_rate:.4e}"
         )
-    log_tail = a * params._log_snr_per_m + _log_closed_tail(m + a, m * gamma0)
+    log_tail = a * params._log_snr_per_m + _log_closed_tail(params, m + a, m * gamma0)
     log_tail -= params._lgamma_m
     if p_idle == 0.0:
         return log_tail

@@ -123,6 +123,9 @@ class SystemParams:
             ("_log_snr_per_m", math.log(snr) - math.log(m)),
             ("_lgamma_m", math.lgamma(m)),
             ("_log_density_norm", m * math.log(m) - math.lgamma(m)),
+            # The closed form's memo of log Gamma(m + a, m gamma0), filled
+            # and bounded by analysis._log_closed_tail.
+            ("_closed_tails", {}),
         ):
             object.__setattr__(self, name, value)
 

@@ -185,9 +185,9 @@ class TestEnergyEfficiency:
         # The tail probability is computed once, shared by the idle mass and
         # the power. At an integer m it is a finite sum, so the service
         # moment makes the only incomplete gamma call; at any other m the
-        # tail makes a second. The closed form's memo starts empty, so no
-        # earlier test's point answers the call.
-        analysis._log_closed_tail.cache_clear()
+        # tail makes a second. The link's memo of the closed form's log
+        # Gamma starts empty, so no earlier test's point answers the call.
+        params._closed_tails.clear()
         calls = []
 
         def counted(v, z):
@@ -241,49 +241,79 @@ MEMO_CASES = {
 
 
 @pytest.fixture
-def memo():
-    """The closed form's memo of log Gamma, emptied."""
-    analysis._log_closed_tail.cache_clear()
-    return analysis._log_closed_tail
+def gamma_calls(monkeypatch):
+    """The (v, z) of every incomplete gamma call analysis makes: the closed
+    form's, not the tail probability's."""
+    calls = []
+
+    def counted(v, z):
+        calls.append((v, z))
+        return upper_incomplete_gamma(v, z)
+
+    monkeypatch.setattr(analysis, "upper_incomplete_gamma", counted)
+    return calls
 
 
 class TestClosedTailMemo:
     @pytest.mark.parametrize("m", [2.0, 1.5])
     @pytest.mark.parametrize("case", sorted(MEMO_CASES))
-    def test_warm_equals_cold(self, params, memo, case, m):
-        # The memo is warmed by the same work, then by the same work on
-        # another link of the same m; both give the cold bits.
+    def test_warm_equals_cold(self, params, gamma_calls, case, m):
+        # The same work on a fresh link, again on that link with its memo
+        # warm, and on another fresh link after all the other work: every
+        # run gives the cold bits, and the warm run makes no call.
         run = MEMO_CASES[case]
         link = dataclasses.replace(params, fading_m=m)
-        other = dataclasses.replace(link, tx_power=0.5 * link.tx_power, circuit_power=0.3)
         cold = hex_floats(run(link))
-        hits = memo.cache_info().hits
+        assert gamma_calls
+        gamma_calls.clear()
         assert hex_floats(run(link)) == cold
-        assert memo.cache_info().hits > hits
-        memo.cache_clear()
-        run(other)
-        assert hex_floats(run(link)) == cold
+        assert gamma_calls == []
+        other = dataclasses.replace(params, fading_m=m)
+        for name in sorted(MEMO_CASES):
+            if name != case:
+                MEMO_CASES[name](other)
+        assert hex_floats(run(other)) == cold
 
-    def test_refusal_is_not_kept(self, params, qos_1e4, memo):
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_each_link_has_its_own_memo(self, params, gamma_calls, case):
+        # An equal link built afresh makes the same calls again: no state
+        # passes between links, so repeated work counts the same calls.
+        run = MEMO_CASES[case]
+        first = dataclasses.replace(params)
+        run(first)
+        calls, kept = list(gamma_calls), dict(first._closed_tails)
+        gamma_calls.clear()
+        second = dataclasses.replace(params)
+        assert second._closed_tails == {}
+        run(second)
+        assert gamma_calls == calls
+        assert second._closed_tails == first._closed_tails == kept
+
+    def test_refusal_is_not_kept(self, params, qos_1e4, gamma_calls):
         # Gamma(1.974, 800) underflows: each call raises the same error
         # afresh, and the memo keeps nothing.
+        link = dataclasses.replace(params)
         messages = []
         for _ in range(2):
             with pytest.raises(DomainError, match="underflows the float range") as raised:
-                analyze(params, qos_1e4, 400.0)
+                analyze(link, qos_1e4, 400.0)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
-        info = memo.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+        assert len(gamma_calls) == 2 and gamma_calls[0] == gamma_calls[1]
+        assert link._closed_tails == {}
 
-    def test_size_is_bounded(self, params, memo):
-        # 20 theta rows of 20 thresholds ask for 400 distinct values.
+    def test_size_is_bounded(self, params, gamma_calls):
+        # 20 theta rows of 20 thresholds ask for 400 distinct values. Once
+        # full, the memo drops its oldest entries, so the last row is kept.
+        link = dataclasses.replace(params)
         sizes = []
         for k in range(20):
-            sweep(params, [1e-5 * 1.3**k], (0.0, 3.0), "F", 20)
-            sizes.append(memo.cache_info().currsize)
-        assert memo.cache_info().maxsize == analysis._CLOSED_TAIL_MEMO
+            sweep(link, [1e-5 * 1.3**k], (0.0, 3.0), "F", 20)
+            sizes.append(len(link._closed_tails))
         assert max(sizes) == sizes[-1] == analysis._CLOSED_TAIL_MEMO
+        gamma_calls.clear()
+        sweep(link, [1e-5 * 1.3**19], (0.0, 3.0), "F", 20)
+        assert gamma_calls == []
 
 
 class TestServiceMgf:

@@ -355,17 +355,12 @@ def service_mgf(
     return _mgf(log_service_mgf(params, qos, gamma0, method))
 
 
-def _capacity(params: SystemParams, theta: float, log_mgf: float) -> float:
-    # Effective capacity in bits/s from the log-MGF.
-    return -log_mgf / (theta * params.slot_duration)
-
-
 def effective_capacity(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Largest sustainable constant arrival rate in bits/s under the QoS
     exponent, for the service gated at the given threshold."""
-    return _capacity(params, qos.theta, log_service_mgf(params, qos, gamma0, method))
+    return _point(params, qos.theta, gamma0, "alpha", method)
 
 
 def _modes(params: SystemParams, gamma0: float) -> tuple[float, float, float]:
@@ -391,24 +386,26 @@ def _formula(
     quantity: str,
 ) -> float:
     # One of QUANTITIES at a point, from its log-MGF and total power: the one
-    # copy of the four formulas, which analyze and _point share. EE, like F
-    # and G, raises where the service moment passes the float range.
-    alpha = _capacity(params, theta, log_mgf)
+    # copy of the four formulas. EE, like F and G, raises where the service
+    # moment passes the float range.
+    alpha = -log_mgf / (theta * params.slot_duration)
     if quantity == "alpha":
         return alpha
-    if quantity == "G":
-        return _trend(params, theta, gamma0, log_mgf, power)
     mgf = _mgf(log_mgf)
+    if quantity == "G":
+        swing = params.tx_power - params.idle_power
+        kernel = (1.0 + params.mean_snr * gamma0) ** (params.exponent_rate * theta)
+        return -swing * log_mgf * mgf - (1.0 - kernel) * power
     return mgf if quantity == "F" else alpha / power
 
 
 def _point(
     params: SystemParams, theta: float, gamma0: float, quantity: str, method: str,
-    modes: tuple[float, float, float],
+    modes: tuple[float, float, float] | None = None,
 ) -> float:
-    # One of QUANTITIES at a point whose _modes are given, so a sweep can
-    # share them across theta; EE needs a nonzero total power.
-    p_tr, _, power = modes
+    # One of QUANTITIES at a point, given its _modes where a sweep or search
+    # shares them across theta. EE's nonzero total power is checked first.
+    p_tr, _, power = _modes(params, gamma0) if modes is None else modes
     if quantity == "EE":
         _require_power(gamma0, power)
     log_mgf = _log_mgf(params, theta, gamma0, p_tr, method)
@@ -419,7 +416,7 @@ def energy_efficiency(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Effective capacity per consumed watt, bits/Joule."""
-    return _point(params, qos.theta, gamma0, "EE", method, _modes(params, gamma0))
+    return _point(params, qos.theta, gamma0, "EE", method)
 
 
 def ee_trend(
@@ -432,71 +429,44 @@ def ee_trend(
     closed form, so the optimizer searches on it instead of differencing EE.
     Unlike EE it stays defined at a total power of 0 W.
     """
-    return _point(params, qos.theta, gamma0, "G", method, _modes(params, gamma0))
+    return _point(params, qos.theta, gamma0, "G", method)
 
 
-def _trend(
-    params: SystemParams, theta: float, gamma0: float, log_mgf: float, power: float
-) -> float:
-    # ee_trend's formula, given the log-MGF and the total power at gamma0, so
-    # analyze can reuse the values it already has.
-    a = params.exponent_rate * theta
-    swing = params.tx_power - params.idle_power
-    kernel = (1.0 + params.mean_snr * gamma0) ** a
-    return -swing * log_mgf * _mgf(log_mgf) - (1.0 - kernel) * power
-
-
-def _mgf_and_slope(
-    params: SystemParams, theta: float, gamma0: float, method: str
-) -> tuple[float, float, float, float | None]:
-    # (log F, total power, gain density, dF/dgamma0) at gamma0, the pieces
-    # the two slopes below share. dF/dgamma0 = pdf(gamma0) (1 - k_F), with
-    # k_F the kernel inside F at gamma0: (snr gamma0)^a for the closed form,
-    # (1 + snr gamma0)^a for the exact route. It is None where k_F passes the
-    # float range (the closed form's, at gamma0 = 0 or snr gamma0 far below
-    # 1); a search halves there.
+def _with_slope(
+    params: SystemParams, theta: float, gamma0: float, quantity: str, method: str
+) -> tuple[float, float | None]:
+    # F, alpha or G at a point and its derivative in gamma0, which the
+    # threshold searches step on. F' = pdf(gamma0) (1 - k_F), with k_F the
+    # kernel inside F at gamma0: (snr gamma0)^a for the closed form,
+    # (1 + snr gamma0)^a for the exact route. The slope is None where k_F
+    # passes the float range (the closed form's, at gamma0 = 0 or snr gamma0
+    # far below 1); a search halves there.
     p_tr, _, power = _modes(params, gamma0)
     log_mgf = _log_mgf(params, theta, gamma0, p_tr, method)
+    value = _formula(params, theta, gamma0, log_mgf, power, quantity)
     density = pdf(params, gamma0)
     a = params.exponent_rate * theta
     snr_g = params.mean_snr * gamma0
+    base = 1.0 + snr_g
     try:
-        kernel = (snr_g if method == METHOD_CLOSED else 1.0 + snr_g) ** a
+        kernel_f = (snr_g if method == METHOD_CLOSED else base) ** a
     except (OverflowError, ZeroDivisionError):
-        return log_mgf, power, density, None
-    return log_mgf, power, density, density * (1.0 - kernel)
-
-
-def _capacity_and_slope(
-    params: SystemParams, theta: float, gamma0: float, method: str
-) -> tuple[float, float | None]:
-    # effective_capacity and its derivative in gamma0, -F' / (theta T F).
-    log_mgf, _, _, mgf_slope = _mgf_and_slope(params, theta, gamma0, method)
-    scale = theta * params.slot_duration
-    slope = None if mgf_slope is None else -mgf_slope / (scale * _mgf(log_mgf))
-    return _capacity(params, theta, log_mgf), slope
-
-
-def _trend_and_slope(
-    params: SystemParams, theta: float, gamma0: float, method: str
-) -> tuple[float, float | None]:
-    # ee_trend and its derivative in gamma0. With k = (1 + snr gamma0)^a and
-    # P' = -pdf swing, G = -swing F log F - (1 - k) P differentiates to
-    # -swing F' (log F + 1) + k' P + (1 - k) pdf swing.
-    log_mgf, power, density, mgf_slope = _mgf_and_slope(params, theta, gamma0, method)
-    trend = _trend(params, theta, gamma0, log_mgf, power)
-    if mgf_slope is None:
-        return trend, None
-    a = params.exponent_rate * theta
+        return value, None
+    mgf_slope = density * (1.0 - kernel_f)
+    if quantity == "F":
+        return value, mgf_slope
+    if quantity == "alpha":  # alpha = -log F / (theta T)
+        return value, -mgf_slope / (theta * params.slot_duration * _mgf(log_mgf))
+    # G = -swing F log F - (1 - k) P, with P' = -pdf swing. Its kernel k is
+    # (1 + snr gamma0)^a under both methods, so under the closed form it is
+    # not k_F and G's root sits a little below the closed-form EE's argmax.
     swing = params.tx_power - params.idle_power
-    base = 1.0 + params.mean_snr * gamma0
     kernel = base**a
-    slope = (
+    return value, (
         -swing * mgf_slope * (log_mgf + 1.0)
         + a * params.mean_snr * kernel / base * power
         + (1.0 - kernel) * density * swing
     )
-    return trend, slope
 
 
 def delay_outage_estimate(

@@ -27,10 +27,9 @@ from .analysis import (
     METHOD_CLOSED,
     QUANTITIES,
     QosSpec,
-    _capacity_and_slope,
     _modes,
     _point,
-    _trend_and_slope,
+    _with_slope,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -147,7 +146,7 @@ def find_optimal_threshold(params: SystemParams, qos: QosSpec) -> OptimumResult:
     ee_baseline = energy_efficiency(params, qos, 0.0, METHOD_CLOSED)
 
     def trend(g: float) -> tuple[float, float | None]:
-        return _trend_and_slope(params, qos.theta, g, METHOD_CLOSED)
+        return _with_slope(params, qos.theta, g, "G", METHOD_CLOSED)
 
     # The gating check and the bracket's growth read only the sign, so they
     # evaluate the trend without its slope.
@@ -214,7 +213,7 @@ def invert_effective_capacity(
         )
 
     def excess(g: float) -> tuple[float, float | None]:
-        capacity, slope = _capacity_and_slope(params, qos.theta, g, method)
+        capacity, slope = _with_slope(params, qos.theta, g, "alpha", method)
         return capacity - mu, slope
 
     hi, _ = _grow_bracket(lambda g: excess(g)[0] > 0.0, "capacity still above mu")

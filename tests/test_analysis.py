@@ -416,11 +416,25 @@ class TestTrendIndicator:
 
     @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
     def test_is_analyze_trend(self, params, method):
+        # Each public per-point function, and the value the threshold
+        # searches step from, is analyze's field bit for bit.
         for theta in (1e-6, 1e-4):
             qos = QosSpec(theta=theta)
             for g in (0.0, 0.5, 4.0):
-                expected = analyze(params, qos, g, method).ee_trend
-                assert ee_trend(params, qos, g, method) == expected, (theta, g)
+                r = analyze(params, qos, g, method)
+                got = [
+                    energy_efficiency(params, qos, g, method),
+                    effective_capacity(params, qos, g, method),
+                    log_service_mgf(params, qos, g, method),
+                    service_mgf(params, qos, g, method),
+                    ee_trend(params, qos, g, method),
+                    *(analysis._with_slope(params, theta, g, q, method)[0]
+                      for q in ("alpha", "F", "G")),
+                ]
+                assert got == [
+                    r.ee, r.effective_capacity, r.log_mgf, r.service_mgf, r.ee_trend,
+                    r.effective_capacity, r.service_mgf, r.ee_trend,
+                ], (theta, g)
 
     def test_strict_qos_always_negative(self, params):
         qos = QosSpec(theta=1e-3)
@@ -461,11 +475,14 @@ class TestSlopes:
         eps = np.finfo(float).eps
         for theta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 5e-3):
             qos = QosSpec(theta=theta)
-            slopes = {
-                "F": lambda g: analysis._mgf_and_slope(link, theta, g, method)[3],
-                "alpha": lambda g: analysis._capacity_and_slope(link, theta, g, method)[1],
-                "G": lambda g: analysis._trend_and_slope(link, theta, g, method)[1],
-            }
+
+            def slope(name, g):
+                return analysis._with_slope(link, theta, g, name, method)[1]
+
+            if method == METHOD_CLOSED and link.fading_m + link.exponent_rate * theta > 0.0:
+                # k_F = 0^a passes the float range at gamma0 = 0: no slope,
+                # and a search halves there.
+                assert [slope(name, 0.0) for name in ("F", "alpha", "G")] == [None] * 3, theta
             values = {
                 "F": lambda g: service_mgf(link, qos, g, method),
                 "alpha": lambda g: effective_capacity(link, qos, g, method),
@@ -484,7 +501,7 @@ class TestSlopes:
                 h = 1e-4 * g
                 for name, value in values.items():
                     centred = (value(g + h) - value(g - h)) / (2.0 * h)
-                    assert slopes[name](g) == pytest.approx(
+                    assert slope(name, g) == pytest.approx(
                         centred, rel=1e-6, abs=64 * eps * noise[name] / h
                     ), (name, theta, g)
 

@@ -29,7 +29,7 @@ from eelink import (
     sweep,
 )
 from eelink import analysis, optimize
-from eelink.analysis import _capacity_and_slope, _trend_and_slope
+from eelink.analysis import _with_slope
 from eelink.optimize import _EXTRA_EVALS, _grow_bracket, _search
 
 # (theta, optimal threshold, max EE, baseline EE) published for the
@@ -143,7 +143,7 @@ class TestFindOptimalThreshold:
                 return evaluate(*args)
             return wrapper
 
-        monkeypatch.setattr(optimize, "_trend_and_slope", counted(_trend_and_slope))
+        monkeypatch.setattr(optimize, "_with_slope", counted(_with_slope))
         monkeypatch.setattr(optimize, "ee_trend", counted(ee_trend))
         r = find_optimal_threshold(params, qos_1e4)
         # Bisection of [0, 1] takes 27 halvings: 28 trend evaluations with the
@@ -161,11 +161,11 @@ class TestFindOptimalThreshold:
 
         def counted_trend(*args):
             searched.append(args[2])
-            return _trend_and_slope(*args)
+            return _with_slope(*args)
 
         channel_pdf = analysis.pdf
         monkeypatch.setattr(analysis, "pdf", counted_pdf)
-        monkeypatch.setattr(optimize, "_trend_and_slope", counted_trend)
+        monkeypatch.setattr(optimize, "_with_slope", counted_trend)
         r = find_optimal_threshold(params, qos_1e4)
         assert densities == searched
         assert len(searched) < r.iterations
@@ -217,15 +217,15 @@ class TestSearch:
         theta = 10.0**log10_theta
 
         def trend(g):
-            return _trend_and_slope(params, theta, g, method)
+            return _with_slope(params, theta, g, "G", method)
 
         try:
-            mu = rate_fraction * _capacity_and_slope(params, theta, 0.0, method)[0]
+            mu = rate_fraction * _with_slope(params, theta, 0.0, "alpha", method)[0]
         except DomainError:
             assume(False)
 
         def excess(g):
-            capacity, slope = _capacity_and_slope(params, theta, g, method)
+            capacity, slope = _with_slope(params, theta, g, "alpha", method)
             return capacity - mu, slope
 
         searched = 0

@@ -388,7 +388,13 @@ def _formula(
     # One of QUANTITIES at a point, from its log-MGF and total power: the one
     # copy of the four formulas. EE, like F and G, raises where the service
     # moment passes the float range.
-    alpha = -log_mgf / (theta * params.slot_duration)
+    try:
+        alpha = -log_mgf / (theta * params.slot_duration)
+    except ZeroDivisionError:
+        raise DomainError(
+            f"theta * slot_duration rounds to 0 at theta = {theta}, "
+            f"slot_duration = {params.slot_duration}"
+        ) from None
     if quantity == "alpha":
         return alpha
     mgf = _mgf(log_mgf)

@@ -68,3 +68,12 @@ def _is_real(value) -> bool:
     import numbers
 
     return isinstance(value, numbers.Real)
+
+
+def _is_integer(value) -> bool:
+    # An int or a numpy integer; bool is an int, but seed=True is a slip.
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    import numbers
+
+    return isinstance(value, numbers.Integral)

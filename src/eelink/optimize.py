@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     InfeasibleRateError,
     PreconditionError,
+    _is_integer,
 )
 
 # Thresholds below this scale are operationally indistinguishable from no
@@ -252,13 +253,9 @@ def sweep(
         raise DomainError(f"gamma0_range must be finite and increasing, got {gamma0_range}")
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")
-    if type(steps) is not int:
-        import numbers  # here, not at import: only a non-int steps needs it
-
-        # bool is an Integral too, but steps=True is a slip, not 1 step.
-        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool):
-            raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
-        steps = int(steps)
+    if not _is_integer(steps):
+        raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
+    steps = int(steps)
     if steps < 2:
         raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
 

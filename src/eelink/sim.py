@@ -9,14 +9,6 @@ Each block's arithmetic runs in place in two buffers reused across blocks,
 and is branch-free: an idle slot's gain is zeroed, so it serves log2(1) = 0
 bits. So a run needs O(block) memory whatever its length, and is fully
 deterministic for a fixed seed.
-
-improvement_vs_baseline needs only the share of transmitting slots. It
-skips the queue whenever the bits that arrive over the whole run are at
-most half the stability guard: the backlog never exceeds them, so the guard
-cannot fire, and the same gains are drawn and counted, so the result is the
-same float as with the queue. Every completed walk leaves its count behind,
-keyed by what decides it, so a call after run on an equal config makes no
-pass at all.
 """
 
 from __future__ import annotations
@@ -27,16 +19,12 @@ from dataclasses import dataclass
 
 from .analysis import METHOD_EXACT, QosSpec, effective_capacity, mean_service_rate
 from .channel import SystemParams, sample_gains
-from .errors import DomainError, QueueOverflowError, _require_finite
+from .errors import DomainError, QueueOverflowError, _is_integer, _require_finite
 
 QUEUE_GUARD_BITS = 1e12
 # Slots per block of the simulator's pass: a run holds a few arrays of this
 # length at a time, whatever its num_slots.
 _BLOCK_SLOTS = 1 << 16
-# The transmitting-slot count of the last walk that completed, as
-# (_count_key(config), count); None before the first. One tuple, replaced
-# whole, so a reader never sees a key beside another walk's count.
-_last_count: tuple[tuple, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -52,17 +40,12 @@ class SimConfig:
     warmup_slots: int | None = None
 
     def __post_init__(self) -> None:
-        import numbers  # here, not at import: numpy loads it anyway for a run
-
         if not isinstance(self.params, SystemParams):
             raise DomainError(f"params must be a SystemParams, got {self.params!r}")
         _require_finite(self)
         for name in ("num_slots", "seed", "warmup_slots"):
             value = getattr(self, name)
-            if name == "warmup_slots" and value is None:
-                continue
-            # bool is an Integral too, but seed=True is a slip, not seed 1.
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_integer(value) and not (name == "warmup_slots" and value is None):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.arrival_rate <= 0.0:
             raise DomainError("arrival_rate must be positive")
@@ -112,8 +95,7 @@ class CurvePoint:
 @dataclass(frozen=True)
 class _Tally:
     """Post-warmup sums of one pass: slot count, transmitting and busy
-    slots, delay-outage slots per bound, and the queue's sum and maximum.
-    A pass that skips the queue leaves its fields (busy onward) at 0."""
+    slots, delay-outage slots per bound, and the queue's sum and maximum."""
 
     slots: int
     transmitted: int
@@ -123,23 +105,13 @@ class _Tally:
     queue_max: float
 
 
-def _count_key(config: SimConfig) -> tuple:
-    """Everything that decides a walk's transmitting-slot count: the gain
-    law (params), the gain stream (seed, num_slots), the counted slots
-    (warmup) and the threshold. The load and the delay bound do not."""
-    return (config.params, config.seed, config.num_slots, config.resolved_warmup(), config.gamma0)
-
-
-def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True) -> _Tally:
+def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     """Simulate config.num_slots slots in blocks of _BLOCK_SLOTS and tally
     the post-warmup statistics, counting outages for every delay bound.
 
     Raises QueueOverflowError at the first slot whose backlog passes the
-    stability guard. With queue=False only the gains are drawn and the
-    transmitting slots counted: no queue, no guard. A walk that completes
-    records its count in _last_count.
+    stability guard.
     """
-    global _last_count
     import numpy as np
 
     p = config.params
@@ -150,7 +122,7 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True
     warmup = config.resolved_warmup()
     # Two buffers serve every block: the step, then its partial sums, then
     # the queue, in one; the running minimum, then the waits, in the other.
-    size = min(_BLOCK_SLOTS, config.num_slots) if queue else 0
+    size = min(_BLOCK_SLOTS, config.num_slots)
     path_buf, low_buf = np.empty(size), np.empty(size)
     # Lindley recursion q[n] = max(q[n-1] + a - s[n], 0) with q[0] = 0 has
     # the closed form q[n] = S[n] - min(0, min_{k<=n} S[k]). Each block
@@ -167,8 +139,6 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True
         skip = max(warmup - start, 0)
         if skip < gains.size:
             transmitted += int(np.count_nonzero(transmit[skip:]))
-        if not queue:
-            continue
         # Step a - s[n], branch-free: an idle slot's gain is zeroed, so it
         # serves log2(1) = 0 bits and its step is exactly a.
         path = np.multiply(gains, transmit, out=path_buf[: gains.size])
@@ -200,7 +170,6 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True
                 outages[i] += int(np.count_nonzero(waits > d))
         queue_sum += float(q.sum())
         queue_max = max(queue_max, float(q.max()))
-    _last_count = (_count_key(config), transmitted)
     return _Tally(
         slots=config.num_slots - warmup,
         transmitted=transmitted,
@@ -209,19 +178,6 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...], queue: bool = True
         queue_sum=queue_sum,
         queue_max=queue_max,
     )
-
-
-def _mean_power(p: SystemParams, p_tr_hat: float) -> float:
-    """Mean power from the transmitting share of slots. The per-slot power
-    is two-valued, so this mean is exact (and exactly circuit + tx power
-    when every slot transmits). Raises DomainError when it is 0 W."""
-    mean_power = p.circuit_power + p.tx_power * p_tr_hat + p.idle_power * (1.0 - p_tr_hat)
-    if mean_power == 0.0:
-        raise DomainError(
-            "mean power is 0 W: no circuit or idle power, and no slot transmitted, "
-            "so the energy efficiency is undefined"
-        )
-    return mean_power
 
 
 def run(config: SimConfig) -> SimReport:
@@ -237,8 +193,16 @@ def run(config: SimConfig) -> SimReport:
     tally = _walk(config, bounds)
     n = tally.slots
     p_tr_hat = tally.transmitted / n
-    mean_power = _mean_power(config.params, p_tr_hat)
-    return SimReport(
+    # The per-slot power is two-valued, so this mean is exact (and exactly
+    # circuit + tx power when every slot transmits).
+    p = config.params
+    mean_power = p.circuit_power + p.tx_power * p_tr_hat + p.idle_power * (1.0 - p_tr_hat)
+    if mean_power == 0.0:
+        raise DomainError(
+            "mean power is 0 W: no circuit or idle power, and no slot transmitted, "
+            "so the energy efficiency is undefined"
+        )
+    report = SimReport(
         empirical_ee=config.arrival_rate / mean_power,
         p_tr_hat=p_tr_hat,
         p_idle_hat=1.0 - p_tr_hat,
@@ -250,6 +214,10 @@ def run(config: SimConfig) -> SimReport:
         slots_run=config.num_slots,
         seed=config.seed,
     )
+    # Kept on the frozen config for improvement_vs_baseline; not a field, so
+    # equality, hashing and dataclasses.replace ignore it.
+    object.__setattr__(config, "_report", report)
+    return report
 
 
 def improvement_vs_baseline(config: SimConfig) -> float:
@@ -261,29 +229,14 @@ def improvement_vs_baseline(config: SimConfig) -> float:
     every slot, so its queue passes the guard only if the gated run's does,
     which raises QueueOverflowError here.
 
-    The gain needs only the share of transmitting slots, and the queue is
-    walked only to honour that guard. The backlog never exceeds the bits
-    that arrived, so when arrival_rate * slot_duration * num_slots is at
-    most half of QUEUE_GUARD_BITS (the other half is room for rounding) the
-    guard cannot fire, and the pass only draws the same gains and counts
-    the transmitting slots. After run (or any walk) on a config that differs
-    at most in arrival_rate or delay_bound, that count is already known and
-    no pass is made. The result is the same float as run's, bit for bit.
+    The gated EE is read from the report run left on this config object,
+    or from run(config) when there is none, so a call after run makes no
+    pass. Another config object, even an equal one, makes its own run.
     """
     p = config.params
     baseline_ee = config.arrival_rate / (p.circuit_power + p.tx_power)
-    arrived_bits = config.arrival_rate * p.slot_duration * config.num_slots
-    if arrived_bits <= QUEUE_GUARD_BITS / 2:
-        last = _last_count
-        if last is not None and last[0] == _count_key(config):
-            transmitted = last[1]
-        else:
-            transmitted = _walk(config, (), queue=False).transmitted
-        p_tr_hat = transmitted / (config.num_slots - config.resolved_warmup())
-        ee = config.arrival_rate / _mean_power(p, p_tr_hat)
-    else:
-        ee = run(config).empirical_ee
-    return (ee - baseline_ee) / baseline_ee
+    report = getattr(config, "_report", None) or run(config)
+    return (report.empirical_ee - baseline_ee) / baseline_ee
 
 
 def ee_vs_threshold_curve(

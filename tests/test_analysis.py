@@ -105,6 +105,15 @@ class TestEffectiveCapacity:
         # Away from zero the incomplete gamma handles the negative order.
         assert effective_capacity(params, too_strict, 0.5, METHOD_CLOSED) > 0.0
 
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
+    @pytest.mark.parametrize("theta, slot_duration", [(5e-324, 1e-3), (1e-30, 1e-300)])
+    def test_theta_times_slot_rounding_to_zero_is_a_domain_error(
+        self, params, method, theta, slot_duration
+    ):
+        link = dataclasses.replace(params, slot_duration=slot_duration)
+        with pytest.raises(DomainError, match=r"theta \* slot_duration rounds to 0"):
+            effective_capacity(link, QosSpec(theta=theta), 0.5, method)
+
 
 class TestModesAndPower:
     def test_zero_threshold(self, params, qos_1e4):

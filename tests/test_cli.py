@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eelink
 from eelink import (
@@ -543,6 +547,23 @@ def test_nonfinite_input_is_a_domain_error(argv, capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--theta", "5e-324", "--gamma0", "0.5"],
+    ["analyze", "--theta", "5e-324", "--gamma0", "0.5", "--exact"],
+    ["analyze", "--theta", "1e-30", "--gamma0", "0.5", "--slot-duration", "1e-300"],
+    ["optimize", "--theta", "5e-324"],
+    ["invert", "--theta", "5e-324", "--mu", "1e5"],
+    ["theta-threshold", "--theta-lo", "5e-324"],
+    ["sweep", "--theta-list", "5e-324", "--gamma0-range", "0.01:1", "--steps", "3",
+     "--quantity", "EE"],
+], ids=" ".join)
+def test_theta_times_slot_rounding_to_zero_is_a_domain_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain: theta * slot_duration rounds to 0")
+    assert "\n" not in err.strip()
+
+
 def test_exact_deep_idle_point_is_finite(capsys):
     # F is the idle mass 5.65e-21 there, which 1 - p_tr rounds to 0.
     argv = ["analyze", "--exact", "--fading-m", "20", "--theta", "0.627", "--gamma0", "0.042",
@@ -550,6 +571,65 @@ def test_exact_deep_idle_point_is_finite(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["service_mgf"] == pytest.approx(5.654e-21, rel=1e-3)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def floats_in(payload):
+    if isinstance(payload, float):
+        yield payload
+    elif isinstance(payload, dict):
+        for value in payload.values():
+            yield from floats_in(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from floats_in(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tx_dbm=st.floats(min_value=0.0, max_value=46.0),
+    distance_km=st.floats(min_value=0.1, max_value=3.2),
+    circuit_power=st.one_of(st.just(0.0), log_uniform(1e-4, 1.0)),
+    m=st.integers(min_value=1, max_value=40).map(lambda k: k / 2),
+    theta=log_uniform(1e-8, 1.0),
+    gamma0=st.one_of(st.just(0.0), log_uniform(1e-6, 316.0)),
+    mu=log_uniform(1e2, 1e7),
+    quantity=st.sampled_from(["EE", "alpha", "G", "F"]),
+    form=st.sampled_from(["analyze", "analyze --exact", "sweep", "sweep --exact", "optimize",
+                          "invert", "theta-threshold"]),
+)
+def test_documented_domain_exits_cleanly(
+    tx_dbm, distance_km, circuit_power, m, theta, gamma0, mu, quantity, form
+):
+    # Every call in the documented domain exits 0, 2, 3 or 4 without raising,
+    # and a successful --json output holds only finite numbers.
+    command, *flags = form.split()
+    argv = [command, *flags, "--json", "--tx-power", f"{tx_dbm!r}dBm",
+            "--distance", repr(distance_km), "--circuit-power", repr(circuit_power),
+            "--fading-m", repr(m)]
+    if circuit_power == 0.0:
+        argv += ["--idle-power", "0"]
+    if command == "analyze":
+        argv += ["--theta", repr(theta), "--gamma0", repr(gamma0)]
+    elif command == "sweep":
+        argv += ["--theta-list", repr(theta), "--gamma0-range", f"0:{gamma0 or 316.0!r}",
+                 "--steps", "3", "--quantity", quantity]
+    elif command == "theta-threshold":
+        argv += ["--theta-lo", repr(theta), "--theta-hi", repr(min(1.0, 1e3 * theta))]
+    else:
+        argv += ["--theta", repr(theta)]
+        if command == "invert":
+            argv += ["--mu", repr(mu)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        assert all(math.isfinite(x) for x in floats_in(payload)), (argv, payload)
 
 
 def fresh_heavy_modules(argv):

@@ -31,25 +31,18 @@ def config(params, mu, gamma0, **kw):
     return SimConfig(params=params, arrival_rate=mu, gamma0=gamma0, **kw)
 
 
-@pytest.fixture(autouse=True)
-def no_remembered_count(monkeypatch):
-    """Each test starts with no transmitting-slot count left by another."""
-    monkeypatch.setattr(sim, "_last_count", None)
-
-
 @pytest.fixture
-def count_passes(monkeypatch):
-    """The queue-free count passes made from here on, one config each."""
-    passes = []
+def walks(monkeypatch):
+    """The configs of the walks made from here on, one per walk."""
+    seen = []
     walk = sim._walk
 
-    def counted_walk(config, delay_bounds, queue=True):
-        if not queue:
-            passes.append(config)
-        return walk(config, delay_bounds, queue)
+    def counted_walk(config, delay_bounds):
+        seen.append(config)
+        return walk(config, delay_bounds)
 
     monkeypatch.setattr(sim, "_walk", counted_walk)
-    return passes
+    return seen
 
 
 class TestRun:
@@ -286,8 +279,7 @@ class TestImprovement:
         cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
         gated = run(cfg)
         baseline = run(dataclasses.replace(cfg, gamma0=0.0))
-        sim._last_count = None  # the count pass, not run's remembered count
-        gain = improvement_vs_baseline(cfg)
+        gain = improvement_vs_baseline(dataclasses.replace(cfg))  # its own run
         assert gain == (gated.empirical_ee - baseline.empirical_ee) / baseline.empirical_ee
         full_power = params.circuit_power + params.tx_power
         assert gain == pytest.approx(full_power / gated.mean_power - 1.0, rel=1e-14)
@@ -296,33 +288,15 @@ class TestImprovement:
         with pytest.raises(QueueOverflowError):
             improvement_vs_baseline(config(params, 1e13, 0.5, num_slots=500))
 
-    def test_queue_walk_and_count_agree(self, params, monkeypatch):
-        cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
-        runs = []
-
-        def counted_run(config):
-            runs.append(config)
-            return run(config)
-
-        monkeypatch.setattr(sim, "run", counted_run)
-        counted = improvement_vs_baseline(cfg)
-        assert runs == []
-        # The arrived bits now exceed half the guard, the queue stays far below it.
-        arrived_bits = cfg.arrival_rate * params.slot_duration * cfg.num_slots
-        monkeypatch.setattr(sim, "QUEUE_GUARD_BITS", arrived_bits)
-        walked = improvement_vs_baseline(cfg)
-        assert runs == [cfg]
-        assert walked == counted
-
     @pytest.mark.parametrize("mu, gamma0", [(1519.7e3, 0.53), (300e3, 1.73)])
-    def test_after_run_the_count_is_reused_bit_for_bit(self, params, mu, gamma0, count_passes):
-        cfg = config(params, mu, gamma0, delay_bound=0.01)
-        cold = improvement_vs_baseline(cfg)
-        assert count_passes == [cfg]
-        sim._last_count = None
+    def test_after_run_the_count_is_reused_bit_for_bit(self, params, mu, gamma0, walks):
+        cold_cfg = config(params, mu, gamma0, delay_bound=0.01)
+        cold = improvement_vs_baseline(cold_cfg)
+        assert walks == [cold_cfg]
+        cfg = dataclasses.replace(cold_cfg)
         report = run(cfg)
         warm = improvement_vs_baseline(cfg)
-        assert count_passes == [cfg]
+        assert len(walks) == 2  # run's walk, and none for the gain
         assert warm == cold
         full_power = params.circuit_power + params.tx_power
         assert warm == pytest.approx(full_power / report.mean_power - 1.0, rel=1e-14)
@@ -333,42 +307,45 @@ class TestImprovement:
          {"warmup_slots": 10}, {"gamma0": 0.6}],
         ids=["fading_m", "seed", "num_slots", "warmup_slots", "gamma0"],
     )
-    def test_a_change_to_the_count_makes_a_pass(self, params, change, count_passes):
+    def test_a_change_to_the_count_makes_a_pass(self, params, change, walks):
         cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
         run(cfg)
         link = change.pop("params", None)
         if link is not None:
             change["params"] = dataclasses.replace(params, **link)
         other = dataclasses.replace(cfg, **change)
-        warm = improvement_vs_baseline(other)
-        assert count_passes == [other]
-        sim._last_count = None
-        assert improvement_vs_baseline(other) == warm
+        gain = improvement_vs_baseline(other)
+        assert len(walks) == 2 and walks[1] is other
+        assert gain == improvement_vs_baseline(dataclasses.replace(other))
 
-    @pytest.mark.parametrize("change", [{"arrival_rate": 300e3}, {"delay_bound": 0.01}])
-    def test_load_and_delay_bound_make_no_pass(self, params, change, count_passes):
+    def test_an_equal_config_makes_its_own_run(self, params, walks):
         cfg = config(params, 1519.7e3, 0.53, num_slots=C + 1)
-        run(cfg)
-        other = dataclasses.replace(cfg, **change)
-        warm = improvement_vs_baseline(other)
-        assert count_passes == []
-        sim._last_count = None
-        assert improvement_vs_baseline(other) == warm
+        gain = improvement_vs_baseline(cfg)
+        other = dataclasses.replace(cfg)
+        assert other == cfg
+        assert improvement_vs_baseline(other) == gain
+        assert len(walks) == 2 and walks[1] is other
+        assert improvement_vs_baseline(cfg) == gain  # cfg kept its own run's report
+        assert len(walks) == 2
 
-    def test_an_overflowed_run_leaves_no_count(self, params):
-        kept = config(params, 1519.7e3, 0.53, num_slots=1000)
-        run(kept)
-        remembered = sim._last_count
+    def test_an_overflowed_run_leaves_no_count(self, params, walks):
+        cfg = config(params, 1e13, 0.5, num_slots=500)
         with pytest.raises(QueueOverflowError):
-            run(config(params, 1e13, 0.5, num_slots=500))
-        assert sim._last_count is remembered
-        assert remembered[0] == sim._count_key(kept)
+            run(cfg)
+        assert not hasattr(cfg, "_report")
+        with pytest.raises(QueueOverflowError):
+            improvement_vs_baseline(cfg)
+        assert walks == [cfg, cfg]
 
-    def test_count_route_zero_mean_power_is_a_domain_error(self, params, monkeypatch):
-        monkeypatch.setattr(sim, "run", None)  # the count route never runs the queue
+    def test_zero_mean_power_run_leaves_no_report(self, params, walks):
         link = dataclasses.replace(params, circuit_power=0.0)
+        cfg = config(link, 1e5, 400.0, num_slots=1000)
         with pytest.raises(DomainError, match="mean power is 0 W"):
-            improvement_vs_baseline(config(link, 1e5, 400.0, num_slots=1000))
+            run(cfg)
+        assert not hasattr(cfg, "_report")
+        with pytest.raises(DomainError, match="mean power is 0 W"):
+            improvement_vs_baseline(cfg)
+        assert walks == [cfg, cfg]
 
 
 class TestCurve:

@@ -10,12 +10,12 @@ from eelink import (
     METHOD_EXACT,
     QosSpec,
     analyze,
-    cdf,
     default_params,
     dbm_to_watt,
     effective_capacity,
     path_loss_db,
     sample_gains,
+    tail_probability,
 )
 
 params = default_params()
@@ -31,7 +31,8 @@ rng = np.random.default_rng(0)
 draws = sample_gains(params, rng, 1_000_000)
 for g in (0.25, 0.5323, 1.0, 2.0):
     empirical = np.count_nonzero(draws < g) / draws.size
-    print(f"  P(gain < {g:6.4f})  model {cdf(params, g):.5f}   empirical {empirical:.5f}")
+    model = 1.0 - tail_probability(params, g)
+    print(f"  P(gain < {g:6.4f})  model {model:.5f}   empirical {empirical:.5f}")
 
 print("\nEffective capacity vs threshold (theta = 1e-4)")
 qos = QosSpec(theta=1e-4)

@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .channel import (
     SystemParams,
-    cdf,
     db_to_linear,
     dbm_to_watt,
     default_params,

@@ -151,19 +151,18 @@ def _log_mgf(
     log_mgf = _log_mgf_series(params, params.exponent_rate * theta, gamma0, p_tr)
     if log_mgf is not None:
         return log_mgf
-    return _log_mgf_quadrature(params, theta, gamma0, p_tr)
+    return _log_mgf_quadrature(params, theta, gamma0)
 
 
-def _idle_mass(params: SystemParams, gamma0: float, p_tr: float) -> float:
-    # P(gain < gamma0), the idle term of F. Where p_tr > 1/2, 1 - p_tr keeps
-    # only p_tr's absolute accuracy, so the regularized lower gamma comes
-    # from its own series; z = m gamma0 is below the median of the gain, so
-    # below m, there. Its relative error, about eps (|m log z| + z +
-    # |lgamma m|) from the rounding of the prefactor's log, is no worse than
-    # that of 1 - p_tr even at p_tr just above 1/2, since p_tr's own error
-    # grows the same way with m.
-    if p_tr <= 0.5:
-        return 1.0 - p_tr
+def _idle_mass(params: SystemParams, gamma0: float) -> float:
+    # P(gain < gamma0), the idle term of F, where p_tr > 1/2 (the series
+    # calls it where p_tr - T > 1/2, the quadrature where 1/2 < 1 - F <
+    # p_tr). 1 - p_tr keeps only p_tr's absolute accuracy there, so the
+    # regularized lower gamma comes from its own series; z = m gamma0 is
+    # below the median of the gain, so below m. Its relative error, about
+    # eps (|m log z| + z + |lgamma m|) from the rounding of the prefactor's
+    # log, is no worse than that of 1 - p_tr even at p_tr just above 1/2,
+    # since p_tr's own error grows the same way with m.
     m = params.fading_m
     z = m * gamma0
     if z == 0.0:
@@ -263,8 +262,8 @@ def _log_mgf_series(
         if not deficit_err <= _SERIES_REL_ERR * (1.0 - deficit) * -math.log1p(-deficit):
             return None
         return math.log1p(-deficit)
-    # Here p_tr > 1/2 + T, so _idle_mass takes the lower gamma form.
-    idle = _idle_mass(params, gamma0, p_tr)
+    # Here p_tr > 1/2 + T, as _idle_mass needs.
+    idle = _idle_mass(params, gamma0)
     idle_err = _EPS * (abs(m * log_z) + z + abs(params._lgamma_m) + 4.0) * idle
     f = idle + t
     f_err = t_err + idle_err + _EPS * (1.0 + z) * f
@@ -301,7 +300,7 @@ def _series_refused(
     return (p_tr - d_up) * rel + p_err > 1.01 * _SERIES_REL_ERR * d_up
 
 
-def _log_mgf_quadrature(params: SystemParams, theta: float, gamma0: float, p_tr: float) -> float:
+def _log_mgf_quadrature(params: SystemParams, theta: float, gamma0: float) -> float:
     # log F by exp-sinh quadrature of the true kernel over the tail.
     import numpy as np
 
@@ -321,7 +320,7 @@ def _log_mgf_quadrature(params: SystemParams, theta: float, gamma0: float, p_tr:
     def kernel(g: np.ndarray) -> np.ndarray:
         return np.exp(a * np.log1p(snr * g)) * _density(params, g)
 
-    f = _idle_mass(params, gamma0, p_tr) + integrate(kernel, gamma0)
+    f = _idle_mass(params, gamma0) + integrate(kernel, gamma0)
     if f == 0.0:
         raise DomainError(f"F rounds to 0 at theta = {theta:.6g}, gamma0 = {gamma0:.6g}")
     return math.log(f)
@@ -388,13 +387,13 @@ def _formula(
     # One of QUANTITIES at a point, from its log-MGF and total power: the one
     # copy of the four formulas. EE, like F and G, raises where the service
     # moment passes the float range.
-    try:
-        alpha = -log_mgf / (theta * params.slot_duration)
-    except ZeroDivisionError:
+    scale = theta * params.slot_duration
+    if not scale >= sys.float_info.min:  # a subnormal one can send EE past the float range
         raise DomainError(
-            f"theta * slot_duration rounds to 0 at theta = {theta}, "
-            f"slot_duration = {params.slot_duration}"
-        ) from None
+            "theta * slot_duration rounds to 0 or below the normal float range at "
+            f"theta = {theta}, slot_duration = {params.slot_duration}"
+        )
+    alpha = -log_mgf / scale
     if quantity == "alpha":
         return alpha
     mgf = _mgf(log_mgf)

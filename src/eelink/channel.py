@@ -7,12 +7,11 @@ in linear units only.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _require_finite
+from .errors import DomainError, _real, _require_finite
 from .special import upper_incomplete_gamma
 
 if TYPE_CHECKING:
@@ -145,39 +144,25 @@ def default_params() -> SystemParams:
     )
 
 
-def pdf(params: SystemParams, gain: float | np.ndarray) -> float | np.ndarray:
-    """Density of the unit-mean channel power gain at the given point, or
-    elementwise over an array of points (then an array comes back). A Python
-    float takes a path in `math` alone, so scalar callers load no numpy. A
-    negative or non-finite gain, NaN included, raises DomainError."""
+def pdf(params: SystemParams, gain: float) -> float:
+    """Density of the unit-mean channel power gain at one real point,
+    computed in `math` alone. A negative, non-finite or non-real gain (NaN
+    and arrays included) raises DomainError."""
+    if not isinstance(gain, float):
+        gain = _real(gain, "gain")
+    if not 0.0 <= gain < math.inf:  # NaN included
+        raise DomainError(f"gain must be nonnegative and finite, got {gain}")
     m = params.fading_m
     # In log space, so m^m and g^(m - 1) cannot overflow. At g = 0 the power
     # term is -inf or +inf as m is above or below 1, giving density 0 or inf.
-    if isinstance(gain, float):
-        if not 0.0 <= gain < math.inf:  # NaN included
-            raise DomainError(f"gain must be nonnegative and finite, got {gain}")
-        power = 0.0
-        if m != 1.0:
-            power = (m - 1.0) * (math.log(gain) if gain > 0.0 else -math.inf)
-        return math.exp(params._log_density_norm + power - m * gain)
-    import numpy as np
-
-    g = np.asarray(gain, dtype=float)
-    # A NaN carries through both reductions; their initial values pass an
-    # empty array.
-    lo, hi = g.min(initial=math.inf), g.max(initial=0.0)
-    if not (0.0 <= lo and hi < math.inf):
-        raise DomainError(
-            f"gain must be nonnegative and finite, got {hi if lo >= 0.0 else lo}"
-        )
-    # log 0 = -inf is meant: the density at g = 0 is 0 or inf, as above.
-    with np.errstate(divide="ignore") if lo == 0.0 else contextlib.nullcontext():
-        density = _density(params, g)
-    return float(density) if density.ndim == 0 else density
+    power = 0.0
+    if m != 1.0:
+        power = (m - 1.0) * (math.log(gain) if gain > 0.0 else -math.inf)
+    return math.exp(params._log_density_norm + power - m * gain)
 
 
 def _density(params: SystemParams, g: np.ndarray) -> np.ndarray:
-    # pdf's array formula, unchecked: g must be a float array of
+    # pdf's formula on an array, unchecked: g must be a float array of
     # nonnegative, finite gains, and positive ones unless the caller lets
     # log 0 divide. The quadratures call it on integrate's nodes lo + e^u,
     # with lo finite and nonnegative.
@@ -214,11 +199,6 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
     for k in range(int(m) - 1, 0, -1):
         total = 1.0 + total * z / k
     return min(1.0, math.exp(-z) * total)
-
-
-def cdf(params: SystemParams, threshold: float) -> float:
-    """P(gain < threshold); exact complement of tail_probability."""
-    return 1.0 - tail_probability(params, threshold)
 
 
 def sample_gains(params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -35,8 +35,10 @@ class ConfigError(ValueError):
 def _require_finite(obj) -> None:
     """Raise DomainError unless each float field of the dataclass obj holds
     a finite real number that is not a bool, or None where its annotation
-    allows None. NaN fails every comparison and a string fails them with a
-    bare TypeError, so range checks alone cannot refuse either."""
+    allows None, and store it as a Python float (a numpy float32 would pull
+    the arithmetic down to float32). NaN fails every comparison and a
+    string fails them with a bare TypeError, so range checks alone cannot
+    refuse either."""
     # The class's field table: vars(obj) would give obj a real __dict__ and
     # slow every later attribute read on it (the hot loops read params and
     # qos), and dataclasses.fields allocates on every call. Every dataclass
@@ -48,26 +50,29 @@ def _require_finite(obj) -> None:
         value = getattr(obj, name)
         if value is None and field.type == "float | None":
             continue
-        if not _is_real(value):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
+        number = _real(value, name)
+        if not math.isfinite(number):
             raise DomainError(f"{name} must be finite, got {value}")
+        object.__setattr__(obj, name, number)
 
 
-def _is_real(value) -> bool:
-    # float and int first: numbers, which numpy scalars need, is imported
-    # only for a value of neither type. bool is an int, but True is a slip.
-    if isinstance(value, float):
-        return True
-    if isinstance(value, int):
-        return not isinstance(value, bool)
-    import numbers
+def _real(value, name: str) -> float:
+    # value as a Python float, an int past the float range as an infinity,
+    # or DomainError unless it is a real number. bool is an int, but True is
+    # a slip. numbers, which numpy scalars need, is imported only for a
+    # value that is neither float nor int.
+    if isinstance(value, (float, int)):
+        real = not isinstance(value, bool)
+    else:
+        import numbers
 
-    return isinstance(value, numbers.Real)
+        real = isinstance(value, numbers.Real)
+    if not real:
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _is_integer(value) -> bool:

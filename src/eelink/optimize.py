@@ -41,6 +41,7 @@ from .errors import (
     InfeasibleRateError,
     PreconditionError,
     _is_integer,
+    _real,
 )
 
 # Thresholds below this scale are operationally indistinguishable from no
@@ -204,6 +205,7 @@ def invert_effective_capacity(
     arrival rate mu (bits/s). The capacity is strictly decreasing in the
     threshold, so its crossing of mu is bracketed from a zero threshold and
     narrowed on the capacity and its slope."""
+    mu = _real(mu, "mu")
     if not mu > 0.0:  # NaN included
         raise DomainError("mu must be positive")
     capacity_at_zero = effective_capacity(params, qos, 0.0, method)
@@ -243,11 +245,10 @@ def sweep(
     probabilities and power at each gamma0 are computed once for all
     thetas, and each point computes its service moment once.
     """
-    thetas = [] if thetas is None else list(thetas)
+    # QosSpec refuses a bad theta and holds a good one as a Python float.
+    thetas = [] if thetas is None else [QosSpec(theta=theta).theta for theta in thetas]
     if not thetas:
         raise DomainError("thetas must be nonempty")
-    for theta in thetas:
-        QosSpec(theta=theta)  # raises DomainError for a bad theta
     lo, hi = gamma0_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"gamma0_range must be finite and increasing, got {gamma0_range}")

@@ -14,10 +14,9 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
-from .analysis import METHOD_EXACT, QosSpec, effective_capacity, mean_service_rate
+from .analysis import METHOD_EXACT, QosSpec, effective_capacity
 from .channel import SystemParams, sample_gains
 from .errors import DomainError, QueueOverflowError, _is_integer, _require_finite
 
@@ -47,6 +46,8 @@ class SimConfig:
             value = getattr(self, name)
             if not _is_integer(value) and not (name == "warmup_slots" and value is None):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
+            # int(): a numpy int8 would overflow in _walk's arithmetic.
+            object.__setattr__(self, name, value if value is None else int(value))
         if self.arrival_rate <= 0.0:
             raise DomainError("arrival_rate must be positive")
         if self.gamma0 < 0.0:
@@ -242,23 +243,17 @@ def improvement_vs_baseline(config: SimConfig) -> float:
 def ee_vs_threshold_curve(
     config: SimConfig,
     gamma0_values: list[float],
-    qos: QosSpec | None = None,
+    qos: QosSpec,
 ) -> list[CurvePoint]:
     """One simulated report per threshold, same seed per row.
 
-    Rows whose arrival rate exceeds the sustainable rate are flagged
-    unstable rather than dropped; the sustainable rate is the effective
-    capacity when a QoS requirement is given, otherwise the mean service
-    rate. A row aborted by the stability guard keeps its flag with report
-    None.
+    Rows whose arrival rate exceeds the effective capacity under qos are
+    flagged unstable rather than dropped. A row aborted by the stability
+    guard keeps its flag with report None.
     """
     points: list[CurvePoint] = []
     for g in gamma0_values:
-        if qos is not None:
-            sustainable = effective_capacity(config.params, qos, g, METHOD_EXACT)
-        else:
-            sustainable = mean_service_rate(config.params, g)
-        unstable = config.arrival_rate > sustainable
+        unstable = config.arrival_rate > effective_capacity(config.params, qos, g, METHOD_EXACT)
         row = dataclasses.replace(config, gamma0=g)
         try:
             report = run(row)
@@ -274,12 +269,8 @@ def delay_outage_curve(
     delay_bounds: list[float],
 ) -> list[tuple[float, float]]:
     """Measured delay-outage frequency for several delay bounds, all counted
-    on one sample path (config's own delay_bound is ignored)."""
-    for d in delay_bounds:
-        # NaN fails every comparison, so the range check alone lets it in.
-        if not math.isfinite(d):
-            raise DomainError(f"delay_bound must be finite, got {d}")
-        if d <= 0.0:
-            raise DomainError("delay bounds must be positive")
-    tally = _walk(config, tuple(delay_bounds))
+    on one sample path (config's own delay_bound is ignored, and SimConfig
+    checks each bound as it would a delay_bound)."""
+    bounds = tuple(dataclasses.replace(config, delay_bound=d).delay_bound for d in delay_bounds)
+    tally = _walk(config, bounds)
     return [(d, count / tally.slots) for d, count in zip(delay_bounds, tally.outages)]

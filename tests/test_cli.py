@@ -556,6 +556,9 @@ def test_nonfinite_input_is_a_domain_error(argv, capsys):
     ["theta-threshold", "--theta-lo", "5e-324"],
     ["sweep", "--theta-list", "5e-324", "--gamma0-range", "0.01:1", "--steps", "3",
      "--quantity", "EE"],
+    # A subnormal theta * slot_duration: EE passed the float range with exit 0.
+    ["optimize", "--theta", "5.711e-321", "--tx-power", "10.296dBm", "--distance", "1.616",
+     "--circuit-power", "0.0001235", "--fading-m", "2", "--json"],
 ], ids=" ".join)
 def test_theta_times_slot_rounding_to_zero_is_a_domain_error(argv, capsys):
     assert main(argv) == 2

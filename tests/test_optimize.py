@@ -25,10 +25,11 @@ from eelink import (
     find_optimal_threshold,
     find_theta_threshold,
     invert_effective_capacity,
+    pdf,
     service_mgf,
     sweep,
 )
-from eelink import analysis, optimize
+from eelink import analysis, errors, optimize
 from eelink.analysis import _with_slope
 from eelink.optimize import _EXTRA_EVALS, _grow_bracket, _search
 
@@ -538,3 +539,108 @@ class TestSweepMatchesPerPoint:
         assert got == outcome(lambda: point_by_point(*args))
         assert (got[0] is DomainError and "total power is 0 W" in got[1]) == (quantity == "EE")
 
+
+
+class TestNumpyScalars:
+    # A numpy float32 kept as given pulled the searches' arithmetic down to
+    # float32, too coarse to narrow a bracket to 1e-8, and they never
+    # returned. The inputs are stored as Python floats, so each search
+    # matches its call with the same value as a Python float bit for bit.
+    # The stored types are checked before any search is run.
+    THETA = np.float32(1e-4)
+
+    def test_stored_as_python_floats(self, params):
+        assert type(QosSpec(theta=self.THETA).theta) is float
+        link = dataclasses.replace(params, tx_power=np.float32(20.0), fading_m=np.float64(2.0))
+        assert type(link.tx_power) is float and type(link.fading_m) is float
+
+    def test_optimal_threshold(self, params):
+        qos = QosSpec(theta=self.THETA)
+        assert type(qos.theta) is float
+        assert find_optimal_threshold(params, qos) == find_optimal_threshold(
+            params, QosSpec(theta=float(self.THETA))
+        )
+
+    def test_optimal_threshold_on_a_float32_power(self, params, qos_1e4):
+        link = dataclasses.replace(params, tx_power=np.float32(params.tx_power))
+        assert type(link.tx_power) is float
+        plain = dataclasses.replace(params, tx_power=float(np.float32(params.tx_power)))
+        got = find_optimal_threshold(link, qos_1e4)
+        assert got == find_optimal_threshold(plain, qos_1e4)
+        assert type(got.ee_opt) is float
+
+    def test_capacity_inversion(self, params, qos_1e4):
+        # Without the conversion the search below never returns; the stored
+        # type fails first where the inputs are kept as given.
+        assert type(QosSpec(theta=self.THETA).theta) is float
+        mu = np.float32(3e5)
+        assert invert_effective_capacity(params, qos_1e4, mu) == invert_effective_capacity(
+            params, qos_1e4, float(mu)
+        )
+
+    def test_sweep_thetas(self, params):
+        rows = sweep(params, [self.THETA], (0.0, 3.0), "EE", 5)
+        assert rows == sweep(params, [float(self.THETA)], (0.0, 3.0), "EE", 5)
+        assert all(type(theta) is float for theta, _, _ in rows)
+
+    def test_density_at_a_numpy_scalar(self, params):
+        assert pdf(params, np.float32(0.5)) == pdf(params, float(np.float32(0.5)))
+        assert pdf(params, 1) == pdf(params, 1.0)
+        for bad in (True, "0.5", np.array(0.5)):
+            with pytest.raises(DomainError, match="gain must be a real number"):
+                pdf(params, bad)
+
+
+EELINK_ERRORS = tuple(
+    value for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, Exception)
+)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda x: 10.0**x)
+
+
+def finite_or_refused(compute):
+    """Check that compute() returns a list of finite Python floats, or
+    raises one of eelink.errors' types."""
+    try:
+        values = compute()
+    except EELINK_ERRORS:
+        return
+    assert all(type(v) is float and math.isfinite(v) for v in values), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tx_dbm=st.floats(min_value=0.0, max_value=46.0),
+    distance_km=st.floats(min_value=0.1, max_value=3.2),
+    circuit_power=st.one_of(st.just(0.0), log_uniform(1e-4, 1.0)),
+    m=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.5, 20.0]),
+    theta=log_uniform(1e-8, 1.0),
+    mu=log_uniform(1e2, 3e6),
+    theta_lo=log_uniform(1e-8, 1e-4),
+    theta_hi=log_uniform(1e-4, 1.0),
+    gamma0_hi=log_uniform(1e-6, 316.0),
+    quantity=st.sampled_from(["EE", "alpha", "G", "F"]),
+)
+def test_searches_and_sweeps_are_finite_or_refused(
+    tx_dbm, distance_km, circuit_power, m, theta, mu, theta_lo, theta_hi, gamma0_hi, quantity
+):
+    # Across the documented domain each search and sweep returns finite
+    # floats or raises one of eelink's own errors, under both methods where
+    # it takes one. A circuit power of 0 W comes with 0 W idle power.
+    params = link(m, distance_km, tx_dbm, circuit_power, 0.0)
+    qos = QosSpec(theta=theta)
+
+    def optimum():
+        r = find_optimal_threshold(params, qos)
+        return [r.gamma0_opt, r.ee_opt, r.ee_baseline, *r.bracket]
+
+    finite_or_refused(optimum)
+    finite_or_refused(lambda: [find_theta_threshold(params, theta_lo, theta_hi)])
+    for method in (METHOD_CLOSED, METHOD_EXACT):
+        finite_or_refused(lambda: [invert_effective_capacity(params, qos, mu, method)])
+        finite_or_refused(lambda: [
+            v for row in sweep(params, [theta], (0.0, gamma0_hi), quantity, 4, method) for v in row
+        ])

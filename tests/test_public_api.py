@@ -10,7 +10,7 @@ PUBLIC = {
     "delay_outage_estimate", "ee_trend", "effective_capacity", "energy_efficiency",
     "log_service_mgf", "mean_service_rate", "service_mgf",
     # channel
-    "SystemParams", "cdf", "db_to_linear", "dbm_to_watt", "default_params",
+    "SystemParams", "db_to_linear", "dbm_to_watt", "default_params",
     "path_loss_db", "pdf", "sample_gains", "tail_probability",
     # errors
     "BracketError", "ConfigError", "DomainError", "InfeasibleRateError",

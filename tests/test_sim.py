@@ -136,6 +136,17 @@ class TestRun:
                      warmup_slots=np.uint16(50))
         assert run(cfg) == run(config(params, 1e5, 0.5, num_slots=1000, warmup_slots=50))
 
+    def test_narrow_numpy_counts_are_stored_as_ints(self, params):
+        # An int8 warmup kept as given overflowed in the walk's arithmetic
+        # with the Python-int slot count.
+        cfg = config(params, np.float32(1e5), np.float32(0.5), num_slots=np.int16(1000),
+                     seed=np.uint8(SEED), warmup_slots=np.int8(5))
+        assert [type(getattr(cfg, f)) for f in ("num_slots", "seed", "warmup_slots")] == [int] * 3
+        assert type(cfg.arrival_rate) is float and type(cfg.gamma0) is float
+        plain = config(params, float(np.float32(1e5)), float(np.float32(0.5)), num_slots=1000,
+                       warmup_slots=5)
+        assert run(cfg) == run(plain)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["arrival_rate", "gamma0", "delay_bound"])
     def test_nonfinite_rejected(self, params, field, value):
@@ -386,8 +397,10 @@ class TestCurve:
         assert [pt.unstable for pt in points] == [False, False, False]
         assert all(pt.report is not None for pt in points)
 
-    def test_single_point_curve(self, params):
-        points = ee_vs_threshold_curve(config(params, 300e3, 0.0, num_slots=5_000), [0.0])
+    def test_single_point_curve(self, params, qos_1e4):
+        points = ee_vs_threshold_curve(
+            config(params, 300e3, 0.0, num_slots=5_000), [0.0], qos=qos_1e4
+        )
         assert len(points) == 1
         assert points[0].report.p_tr_hat == 1.0
 
@@ -423,6 +436,12 @@ class TestDelayTail:
     def test_nonfinite_bound_rejected(self, params, value):
         with pytest.raises(DomainError, match="delay_bound must be finite"):
             delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [value, 0.01])
+
+    @pytest.mark.parametrize("value", ["0.01", True, 1j])
+    def test_non_real_bound_rejected(self, params, value):
+        # The bounds pass SimConfig's own check, which refuses a bool too.
+        with pytest.raises(DomainError, match="delay_bound must be a real number"):
+            delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [0.01, value])
 
     def test_waiting_time_scale(self, params):
         # One fluid-FIFO sanity point: outage at a bound beyond the largest

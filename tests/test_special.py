@@ -14,7 +14,6 @@ from eelink import (
     default_params,
     integrate,
     special,
-    tail_probability,
     upper_incomplete_gamma,
 )
 
@@ -91,8 +90,7 @@ def link_integrands(monkeypatch, m):
     monkeypatch.setattr(analysis, "integrate", spy)
     link = dataclasses.replace(default_params(), fading_m=m)
     for theta, gamma0 in ((1e-4, 0.0), (1e-5, 0.7), (1e-2, 0.0), (3e-2, 0.4)):
-        p_tr = tail_probability(link, gamma0)
-        analysis._log_mgf_quadrature(link, theta, gamma0, p_tr)
+        analysis._log_mgf_quadrature(link, theta, gamma0)
     for gamma0 in (0.0, 1.3):
         analysis.mean_service_rate(link, gamma0)
     monkeypatch.undo()

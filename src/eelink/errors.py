@@ -60,7 +60,10 @@ def _real(value, name: str) -> float:
     # value as a Python float, an int past the float range as an infinity,
     # or DomainError unless it is a real number. bool is an int, but True is
     # a slip. numbers, which numpy scalars need, is imported only for a
-    # value that is neither float nor int.
+    # value that is neither float nor int. A Python float, by far the most
+    # common value, returns at once: the per-point entry points call this.
+    if type(value) is float:
+        return value
     if isinstance(value, (float, int)):
         real = not isinstance(value, bool)
     else:

@@ -249,7 +249,7 @@ def sweep(
     thetas = [] if thetas is None else [QosSpec(theta=theta).theta for theta in thetas]
     if not thetas:
         raise DomainError("thetas must be nonempty")
-    lo, hi = gamma0_range
+    lo, hi = (_real(end, "gamma0_range end") for end in gamma0_range)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"gamma0_range must be finite and increasing, got {gamma0_range}")
     if quantity not in QUANTITIES:
@@ -262,7 +262,7 @@ def sweep(
 
     # numpy.linspace's grid, point for point: i * step + lo, ending on hi.
     step = (hi - lo) / (steps - 1)
-    gammas = [i * step + lo for i in range(steps - 1)] + [float(hi)]
+    gammas = [i * step + lo for i in range(steps - 1)] + [hi]
     modes = [_modes(params, g) for g in gammas]
     return [
         (theta, g, _point(params, theta, g, quantity, method, m))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .analysis import METHOD_EXACT, QosSpec, effective_capacity
 from .channel import SystemParams, sample_gains
-from .errors import DomainError, QueueOverflowError, _is_integer, _require_finite
+from .errors import DomainError, QueueOverflowError, _is_integer, _real, _require_finite
 
 QUEUE_GUARD_BITS = 1e12
 # Slots per block of the simulator's pass: a run holds a few arrays of this
@@ -270,7 +270,11 @@ def delay_outage_curve(
 ) -> list[tuple[float, float]]:
     """Measured delay-outage frequency for several delay bounds, all counted
     on one sample path (config's own delay_bound is ignored, and SimConfig
-    checks each bound as it would a delay_bound)."""
-    bounds = tuple(dataclasses.replace(config, delay_bound=d).delay_bound for d in delay_bounds)
+    checks each bound as it would a delay_bound). A bound of None, which
+    SimConfig takes as no bound, raises DomainError."""
+    bounds = tuple(
+        dataclasses.replace(config, delay_bound=_real(d, "delay_bound")).delay_bound
+        for d in delay_bounds
+    )
     tally = _walk(config, bounds)
     return [(d, count / tally.slots) for d, count in zip(delay_bounds, tally.outages)]

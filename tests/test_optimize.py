@@ -25,6 +25,8 @@ from eelink import (
     find_optimal_threshold,
     find_theta_threshold,
     invert_effective_capacity,
+    log_service_mgf,
+    mean_service_rate,
     pdf,
     service_mgf,
     sweep,
@@ -582,6 +584,34 @@ class TestNumpyScalars:
         rows = sweep(params, [self.THETA], (0.0, 3.0), "EE", 5)
         assert rows == sweep(params, [float(self.THETA)], (0.0, 3.0), "EE", 5)
         assert all(type(theta) is float for theta, _, _ in rows)
+
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_EXACT])
+    def test_point_at_a_float32_threshold(self, params, qos_1e4, method):
+        # A float32 gamma0 kept as given ran part of the arithmetic in
+        # float32: analyze's EE came back as np.float32(106219.25).
+        gamma0 = np.float32(0.5)
+        got = analyze(params, qos_1e4, gamma0, method)
+        assert got == analyze(params, qos_1e4, float(gamma0), method)
+        assert all(type(value) is float for value in dataclasses.astuple(got))
+        for point in (effective_capacity, energy_efficiency, ee_trend, service_mgf,
+                      log_service_mgf):
+            value = point(params, qos_1e4, gamma0, method)
+            assert type(value) is float
+            assert value == point(params, qos_1e4, float(gamma0), method)
+        assert mean_service_rate(params, gamma0) == mean_service_rate(params, float(gamma0))
+
+    def test_sweep_at_float32_range_ends(self, params):
+        ends = (np.float32(0.25), np.float32(3.0))
+        rows = sweep(params, [1e-4], ends, "EE", 5)
+        assert rows == sweep(params, [1e-4], tuple(float(end) for end in ends), "EE", 5)
+        assert all(type(value) is float for row in rows for value in row)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_non_real_threshold_rejected(self, params, qos_1e4, bad):
+        with pytest.raises(DomainError, match="gamma0 must be a real number"):
+            analyze(params, qos_1e4, bad)
+        with pytest.raises(DomainError, match="gamma0_range end must be a real number"):
+            sweep(params, [1e-4], (0.0, bad), "EE", 5)
 
     def test_density_at_a_numpy_scalar(self, params):
         assert pdf(params, np.float32(0.5)) == pdf(params, float(np.float32(0.5)))

@@ -221,7 +221,9 @@ class TestBlocks:
     @pytest.mark.parametrize("num_slots", [1, C - 1, C, C + 1, 2 * C + 1])
     @pytest.mark.parametrize(
         "m, gamma0",
-        [pytest.param(m, 0.6, id=str(m)) for m in (0.5, 2.0, 5.5)]
+        # Both sampler routes: sums of m exponentials at m = 1, 2, 3, each
+        # gain m draws wide, and rng.gamma at m = 0.5 and 5.5.
+        [pytest.param(m, 0.6, id=str(m)) for m in (0.5, 1.0, 2.0, 3.0, 5.5)]
         # Every slot transmits; and no draw reaches the threshold, so every
         # slot serves log2(1) = 0 bits and the queue holds every arrival.
         + [pytest.param(m, g, id=f"{m}-gamma0={g}") for m in (0.5, 2.0, 5.5) for g in (0.0, 1e3)],
@@ -413,13 +415,18 @@ class TestCurve:
 
 class TestDelayTail:
     def test_outage_decays_with_the_bound(self, params, qos_1e4):
+        # At 50 ms the outage is a rare event: over seeds 0-59, 54 paths of
+        # 200k slots count none there. Positive and strictly decreasing up
+        # to 20 ms held on all 60. One walk counts every bound, so a longer
+        # bound can never count more outages on any path.
         gamma0 = 0.5
         mu = 0.995 * effective_capacity(params, qos_1e4, gamma0)
         bounds = [0.002, 0.005, 0.01, 0.02, 0.05]
         curve = delay_outage_curve(config(params, mu, gamma0), bounds)
         outages = [o for _, o in curve]
-        assert all(o > 0.0 for o in outages)
-        assert all(a > b for a, b in zip(outages, outages[1:]))
+        assert all(o > 0.0 for o in outages[:4])
+        assert all(a > b for a, b in zip(outages[:4], outages[1:4]))
+        assert all(a >= b for a, b in zip(outages, outages[1:]))
 
     def test_one_pass_matches_a_run_per_bound(self, params):
         cfg = config(params, 8e5, 0.6, num_slots=2 * C + 1, delay_bound=0.5)
@@ -442,6 +449,12 @@ class TestDelayTail:
         # The bounds pass SimConfig's own check, which refuses a bool too.
         with pytest.raises(DomainError, match="delay_bound must be a real number"):
             delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [0.01, value])
+
+    def test_none_bound_rejected(self, params):
+        # SimConfig takes delay_bound=None as no bound; in a list of bounds
+        # it failed the walk's comparison with a bare TypeError.
+        with pytest.raises(DomainError, match="delay_bound must be a real number, got None"):
+            delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [0.01, None])
 
     def test_waiting_time_scale(self, params):
         # One fluid-FIFO sanity point: outage at a bound beyond the largest

@@ -86,12 +86,15 @@ class AnalysisResult:
     log_mgf: float
 
 
-# Each public entry point takes gamma0 through errors._real, so a numpy
-# float32 runs as the Python float of its value rather than pulling part of
-# the arithmetic and the result down to float32.
-def _check_gamma0(gamma0: float) -> None:
+def _check_gamma0(gamma0: float) -> float:
+    # gamma0 as a Python float in [0, inf), or DomainError. Each public entry
+    # point takes its gamma0 through here, so a numpy float32 runs as the
+    # Python float of its value rather than pulling part of the arithmetic
+    # and the result down to float32.
+    gamma0 = _real(gamma0, "gamma0")
     if not 0.0 <= gamma0 < math.inf:
         raise DomainError(f"gamma0 must be nonnegative and finite, got {gamma0}")
+    return gamma0
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -346,7 +349,7 @@ def log_service_mgf(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Natural log of the per-slot service decay moment E[exp(-theta s)]."""
-    gamma0 = _real(gamma0, "gamma0")
+    gamma0 = _check_gamma0(gamma0)
     p_tr, _, _ = _modes(params, gamma0)
     return _log_mgf(params, qos.theta, gamma0, p_tr, method)
 
@@ -363,7 +366,7 @@ def effective_capacity(
 ) -> float:
     """Largest sustainable constant arrival rate in bits/s under the QoS
     exponent, for the service gated at the given threshold."""
-    return _point(params, qos.theta, _real(gamma0, "gamma0"), "alpha", method)
+    return _point(params, qos.theta, _check_gamma0(gamma0), "alpha", method)
 
 
 def _modes(params: SystemParams, gamma0: float) -> tuple[float, float, float]:
@@ -425,7 +428,7 @@ def energy_efficiency(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Effective capacity per consumed watt, bits/Joule."""
-    return _point(params, qos.theta, _real(gamma0, "gamma0"), "EE", method)
+    return _point(params, qos.theta, _check_gamma0(gamma0), "EE", method)
 
 
 def ee_trend(
@@ -438,7 +441,7 @@ def ee_trend(
     closed form, so the optimizer searches on it instead of differencing EE.
     Unlike EE it stays defined at a total power of 0 W.
     """
-    return _point(params, qos.theta, _real(gamma0, "gamma0"), "G", method)
+    return _point(params, qos.theta, _check_gamma0(gamma0), "G", method)
 
 
 def _with_slope(
@@ -498,7 +501,7 @@ def analyze(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> AnalysisResult:
     """Bundle every per-point quantity into one result."""
-    gamma0 = _real(gamma0, "gamma0")
+    gamma0 = _check_gamma0(gamma0)
     p_tr, p_idle, power = _modes(params, gamma0)
     _require_power(gamma0, power)
     log_mgf = _log_mgf(params, qos.theta, gamma0, p_tr, method)
@@ -519,8 +522,7 @@ def analyze(
 def mean_service_rate(params: SystemParams, gamma0: float) -> float:
     """E[s] / slot_duration in bits/s: the theta -> 0 limit of the effective
     capacity, by quadrature against the gain density."""
-    gamma0 = _real(gamma0, "gamma0")
-    _check_gamma0(gamma0)
+    gamma0 = _check_gamma0(gamma0)
     import numpy as np
 
     snr = params.mean_snr

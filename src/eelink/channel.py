@@ -204,23 +204,17 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
 def sample_gains(params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vector of independent power-gain draws from the supplied generator.
 
-    At m = 1, 2 or 3 the gain is Erlang: the sum of m unit exponentials
-    (numpy's ziggurat) over m, each gain taking m consecutive draws, so size
-    gains drawn in blocks read the same stream as one draw of them all. At
-    m = 1 that is numpy's own shape-1 gamma draw, bit for bit. Every other
-    m draws rng.gamma(m, 1/m) (Marsaglia-Tsang), which is faster from
-    m = 4 on.
+    At m = 2 the gain is Erlang: the sum of two unit exponentials (numpy's
+    ziggurat) over 2, each gain taking two consecutive draws, so size gains
+    drawn in blocks read the same stream as one draw of them all. Every
+    other m draws rng.gamma(m, 1/m) (Marsaglia-Tsang).
     """
     m = params.fading_m
-    if m not in (1.0, 2.0, 3.0):
+    if m != 2.0:
         return rng.gamma(shape=m, scale=1.0 / m, size=size)
-    draws = rng.standard_exponential((size, int(m)))
-    if m == 1.0:
-        return draws[:, 0]
-    # The first add writes a new contiguous array, which the simulator's
-    # vector operations read faster than a strided column of draws.
+    draws = rng.standard_exponential((size, 2))
+    # The add writes a new contiguous array, which the simulator's vector
+    # operations read faster than a strided column of draws.
     gains = draws[:, 0] + draws[:, 1]
-    if m == 3.0:
-        gains += draws[:, 2]
-    gains *= 1.0 / m
+    gains *= 0.5
     return gains

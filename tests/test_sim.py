@@ -221,8 +221,8 @@ class TestBlocks:
     @pytest.mark.parametrize("num_slots", [1, C - 1, C, C + 1, 2 * C + 1])
     @pytest.mark.parametrize(
         "m, gamma0",
-        # Both sampler routes: sums of m exponentials at m = 1, 2, 3, each
-        # gain m draws wide, and rng.gamma at m = 0.5 and 5.5.
+        # Both sampler routes: sums of two exponentials at m = 2, each gain
+        # two draws wide, and rng.gamma at m = 0.5, 1, 3 and 5.5.
         [pytest.param(m, 0.6, id=str(m)) for m in (0.5, 1.0, 2.0, 3.0, 5.5)]
         # Every slot transmits; and no draw reaches the threshold, so every
         # slot serves log2(1) = 0 bits and the queue holds every arrival.

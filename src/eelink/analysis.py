@@ -488,12 +488,20 @@ def delay_outage_estimate(
 
     theta_seconds is the per-second decay exponent; a constant-rate source
     served at capacity uses theta * arrival_rate. p_buffer_nonempty is the
-    probability the transmit buffer is backlogged at a random slot.
+    probability the transmit buffer is backlogged at a random slot. Each
+    argument runs as a Python float; a NaN, a value outside its range or
+    one that is not a real number raises DomainError.
     """
-    if not delay_bound > 0.0:  # NaN included
-        raise DomainError(f"delay_bound must be positive, got {delay_bound}")
+    p_buffer_nonempty = _real(p_buffer_nonempty, "p_buffer_nonempty")
+    theta_seconds = _real(theta_seconds, "theta_seconds")
+    delay_bound = _real(delay_bound, "delay_bound")
+    # An infinite bound at theta_seconds = 0 would give exp(-0 * inf) = NaN.
+    if not 0.0 < delay_bound < math.inf:  # NaN included
+        raise DomainError(f"delay_bound must be positive and finite, got {delay_bound}")
     if not 0.0 <= p_buffer_nonempty <= 1.0:
         raise DomainError(f"p_buffer_nonempty must be in [0, 1], got {p_buffer_nonempty}")
+    if not theta_seconds >= 0.0:
+        raise DomainError(f"theta_seconds must be nonnegative, got {theta_seconds}")
     return p_buffer_nonempty * math.exp(-theta_seconds * delay_bound)
 
 

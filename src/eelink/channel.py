@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _real, _require_finite
+from .errors import DomainError, _is_integer, _real, _require_finite
 from .special import upper_incomplete_gamma
 
 if TYPE_CHECKING:
@@ -183,8 +183,11 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
     Q(m, z) = e^-z sum_{k<m} z^k / k! (DLMF 8.4), which needs no incomplete
     gamma call; otherwise Gamma(m, z) / Gamma(m), as e^-z nears the float
     range's lower end past 700. A negative or non-finite threshold raises
-    DomainError.
+    DomainError, as does one that is not a real number; a numpy scalar runs
+    as a Python float.
     """
+    if type(threshold) is not float:
+        threshold = _real(threshold, "threshold")
     if not 0.0 <= threshold < math.inf:  # NaN included
         raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
     if threshold == 0.0:
@@ -201,20 +204,56 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
     return min(1.0, math.exp(-z) * total)
 
 
-def sample_gains(params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_gains(
+    params: SystemParams, rng: np.random.Generator, size: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Vector of independent power-gain draws from the supplied generator.
 
     At m = 2 the gain is Erlang: the sum of two unit exponentials (numpy's
     ziggurat) over 2, each gain taking two consecutive draws, so size gains
     drawn in blocks read the same stream as one draw of them all. Every
     other m draws rng.gamma(m, 1/m) (Marsaglia-Tsang).
+
+    out, when given, is a held contiguous float64 vector the draws land in,
+    so a caller drawing block after block allocates nothing per block. The
+    gains fill out[:size], which is returned; at m = 2 the pair draws fill
+    out[size:3 * size] first, so out needs 3 * size values there and size
+    elsewhere. The gains have the bits of a call without out: off m = 2 it
+    draws standard_gamma(m) into out and scales by 1/m, the product
+    rng.gamma(m, 1/m) forms. A size that is not a nonnegative integer, or
+    an out that cannot hold the draws, raises DomainError.
     """
+    import numpy as np
+
+    if not (_is_integer(size) and size >= 0):
+        raise DomainError(f"size must be a nonnegative integer, got {size!r}")
     m = params.fading_m
-    if m != 2.0:
-        return rng.gamma(shape=m, scale=1.0 / m, size=size)
-    draws = rng.standard_exponential((size, 2))
-    # The add writes a new contiguous array, which the simulator's vector
-    # operations read faster than a strided column of draws.
-    gains = draws[:, 0] + draws[:, 1]
+    if out is None:
+        if m != 2.0:
+            return rng.gamma(shape=m, scale=1.0 / m, size=size)
+        draws = rng.standard_exponential((size, 2))
+        # The add writes a new contiguous array, which vector operations
+        # read faster than a strided column of draws.
+        gains = draws[:, 0] + draws[:, 1]
+    else:
+        need = 3 * size if m == 2.0 else size
+        if not (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.ndim == 1
+            and out.flags.c_contiguous
+            and out.flags.writeable
+            and out.size >= need
+        ):
+            raise DomainError(
+                f"out must be a writable contiguous float64 vector of at least {need} values"
+            )
+        gains = out[:size]
+        if m != 2.0:
+            rng.standard_gamma(m, out=gains)
+            gains *= 1.0 / m
+            return gains
+        draws = rng.standard_exponential(out=out[size : 3 * size].reshape(size, 2))
+        np.add(draws[:, 0], draws[:, 1], out=gains)
     gains *= 0.5
     return gains

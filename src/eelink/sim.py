@@ -5,15 +5,20 @@ threshold (otherwise idle), and update the queue with a constant-rate
 arrival. The queue recursion is solved in closed form (reflected random
 walk) and walked in fixed blocks of slots, each a handful of vector
 operations that carry the walk and its running minimum into the next block.
-Each block's arithmetic runs in place in two buffers reused across blocks,
-and is branch-free: an idle slot's gain is zeroed, so it serves log2(1) = 0
-bits. So a run needs O(block) memory whatever its length, and is fully
-deterministic for a fixed seed.
+A run allocates three block-length buffers once and every block reuses
+them: the draws, whose first part takes the gains and then, in place, the
+step, its partial sums and the queue (at m = 2 the pair draws fill the
+rest); the running minimum, one fmin scan seeded with the carried one; and
+the slot flags, transmitting, then busy, then past each delay bound. The
+arithmetic is branch-free: an idle slot's gain is zeroed, so it serves
+log2(1) = 0 bits. So a run needs O(block) memory whatever its length, and
+is fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import struct
 from dataclasses import dataclass
 
 from .analysis import METHOD_EXACT, QosSpec, effective_capacity
@@ -106,6 +111,30 @@ class _Tally:
     queue_max: float
 
 
+def _outage_cut(bound: float, arrival_rate: float) -> float:
+    """The least float q with q / arrival_rate > bound.
+
+    Correctly rounded division is nondecreasing in q, so for every q
+    q >= cut exactly when q / arrival_rate > bound. Nonnegative floats sort
+    as their bit patterns do, so a bisection over the patterns from 0.0 to
+    inf (whose wait passes every bound) finds the cut in 63 steps, however
+    coarse the rounding near a subnormal bound; it is inf when no finite q
+    qualifies.
+    """
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _from_bits(mid) / arrival_rate > bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return _from_bits(lo)
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     """Simulate config.num_slots slots in blocks of _BLOCK_SLOTS and tally
     the post-warmup statistics, counting outages for every delay bound.
@@ -121,10 +150,15 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     rate_scale = p.slot_duration * p.bandwidth
     arrival = config.arrival_rate * p.slot_duration
     warmup = config.resolved_warmup()
-    # Two buffers serve every block: the step, then its partial sums, then
-    # the queue, in one; the running minimum, then the waits, in the other.
+    # Fluid FIFO: the newest bit waits q / arrival_rate seconds, which
+    # passes bound d exactly when q reaches the cut.
+    cuts = [_outage_cut(d, config.arrival_rate) for d in delay_bounds]
+    # The three held buffers of the module docstring. The draws' buffer has
+    # room past the gains for sample_gains' pair draws at m = 2; at any
+    # other m those pages are never written.
     size = min(_BLOCK_SLOTS, config.num_slots)
-    path_buf, low_buf = np.empty(size), np.empty(size)
+    draw_buf = np.empty(3 * size)
+    low_buf, flag_buf = np.empty(size), np.empty(size, dtype=bool)
     # Lindley recursion q[n] = max(q[n-1] + a - s[n], 0) with q[0] = 0 has
     # the closed form q[n] = S[n] - min(0, min_{k<=n} S[k]). Each block
     # carries S and min(0, min S) over from the one before, so its partial
@@ -135,14 +169,15 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     outages = [0] * len(delay_bounds)
     queue_sum = queue_max = 0.0
     for start in range(0, config.num_slots, _BLOCK_SLOTS):
-        gains = sample_gains(p, rng, min(_BLOCK_SLOTS, config.num_slots - start))
-        transmit = gains >= config.gamma0
+        path = sample_gains(p, rng, min(_BLOCK_SLOTS, config.num_slots - start), out=draw_buf)
+        n = path.size
+        transmit = np.greater_equal(path, config.gamma0, out=flag_buf[:n])
         skip = max(warmup - start, 0)
-        if skip < gains.size:
+        if skip < n:
             transmitted += int(np.count_nonzero(transmit[skip:]))
         # Step a - s[n], branch-free: an idle slot's gain is zeroed, so it
         # serves log2(1) = 0 bits and its step is exactly a.
-        path = np.multiply(gains, transmit, out=path_buf[: gains.size])
+        path *= transmit
         path *= snr
         path += 1.0
         np.log2(path, out=path)
@@ -150,27 +185,33 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
         np.subtract(arrival, path, out=path)
         path[0] += path_end
         np.cumsum(path, out=path)
-        running_min = np.minimum.accumulate(path, out=low_buf[: gains.size])
-        np.minimum(running_min, low, out=running_min)
-        path_end, low = float(path[-1]), float(running_min[-1])
+        path_end = float(path[-1])
+        # One scan seeded with the carried minimum: path[0] holds
+        # min(S[0], low) while it runs. fmin skips a NaN where minimum
+        # would spread it, but the partial sums are NaN from their first
+        # NaN on, so the queue is NaN from there either way.
+        head = path[0]
+        path[0] = min(head, low)
+        running_min = np.fmin.accumulate(path, out=low_buf[:n])
+        path[0] = head
+        low = float(running_min[-1])
         block_queue = np.subtract(path, running_min, out=path)
-        if block_queue.max() > QUEUE_GUARD_BITS:
+        top = float(block_queue.max())
+        if top > QUEUE_GUARD_BITS:
             first = start + int(np.argmax(block_queue > QUEUE_GUARD_BITS))
             raise QueueOverflowError(
                 f"queue exceeded {QUEUE_GUARD_BITS:.0e} bits at slot {first}; "
                 "arrival rate exceeds the gated capacity"
             )
-        if skip >= gains.size:
+        if skip >= n:
             continue
         q = block_queue[skip:]
-        busy += int(np.count_nonzero(q > 0.0))
-        if delay_bounds:
-            # Fluid FIFO: the newest bit waits q / arrival_rate seconds.
-            waits = np.divide(q, config.arrival_rate, out=running_min[skip:])
-            for i, d in enumerate(delay_bounds):
-                outages[i] += int(np.count_nonzero(waits > d))
+        flags = flag_buf[skip:n]
+        busy += int(np.count_nonzero(np.greater(q, 0.0, out=flags)))
+        for i, cut in enumerate(cuts):
+            outages[i] += int(np.count_nonzero(np.greater_equal(q, cut, out=flags)))
         queue_sum += float(q.sum())
-        queue_max = max(queue_max, float(q.max()))
+        queue_max = max(queue_max, top if skip == 0 else float(q.max()))
     return _Tally(
         slots=config.num_slots - warmup,
         transmitted=transmitted,

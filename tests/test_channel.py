@@ -306,6 +306,57 @@ class TestSampler:
         assert np.array_equal(got, (draws[:, 0] + draws[:, 1]) * 0.5)
         assert got.flags.c_contiguous
 
+    @pytest.mark.parametrize("m", [2.0, 0.5, 1.0, 1.5, 3.0, 4.0, 5.5, 171.0])
+    def test_out_has_the_bits_of_a_fresh_draw(self, params, m):
+        # Off m = 2 the gains are standard_gamma(m) draws times 1/m, the
+        # product rng.gamma(m, 1/m) forms; at m = 2 the pair draws land in
+        # out past the gains. The returned gains are out's first values.
+        link = dataclasses.replace(params, fading_m=m)
+        out = np.full(3 * 10_001 + 5, np.nan)
+        got = sample_gains(link, np.random.default_rng(9), 10_001, out=out)
+        assert got.size == 10_001 and np.shares_memory(got, out[:10_001])
+        fresh = sample_gains(link, np.random.default_rng(9), 10_001)
+        assert got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("m", [2.0, 1.5])
+    def test_out_split_across_calls_reads_one_stream(self, params, m):
+        link = dataclasses.replace(params, fading_m=m)
+        rng, out = np.random.default_rng(3), np.empty(3 * 1000)
+        head = sample_gains(link, rng, 600, out=out).copy()
+        tail = sample_gains(link, rng, 400, out=out)
+        whole = sample_gains(link, np.random.default_rng(3), 1000)
+        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize(
+        "m, out",
+        [
+            (2.0, np.empty(3 * 100 - 1)),  # m = 2 needs room for the pairs
+            (1.5, np.empty(99)),
+            (1.5, np.empty(100, dtype=np.float32)),
+            (1.5, np.empty(100, dtype=np.int64)),
+            (1.5, np.empty((100, 1))),
+            (1.5, np.empty(200)[::2]),
+            (1.5, np.empty(100).astype(">f8")),
+            (1.5, [0.0] * 100),
+            (1.5, np.frombuffer(bytes(8 * 100))),  # read-only
+        ],
+    )
+    def test_unusable_out_rejected(self, params, m, out):
+        link = dataclasses.replace(params, fading_m=m)
+        with pytest.raises(DomainError, match="out must be"):
+            sample_gains(link, np.random.default_rng(1), 100, out=out)
+
+    @pytest.mark.parametrize("size", [-1, 2.5, "3", True])
+    @pytest.mark.parametrize("m", [2.0, 1.5])
+    def test_bad_size_rejected(self, params, m, size):
+        # A negative size with out sliced out[:-1] and filled all but one
+        # value; without out numpy raised a bare ValueError or TypeError.
+        link = dataclasses.replace(params, fading_m=m)
+        for out in (None, np.empty(300)):
+            with pytest.raises(DomainError, match="size must be a nonnegative integer"):
+                sample_gains(link, np.random.default_rng(1), size, out=out)
+
+
 
 class TestDerivedConstants:
     """The link constants SystemParams derives from its fields."""

@@ -19,6 +19,7 @@ from eelink import (
     analyze,
     dbm_to_watt,
     default_params,
+    delay_outage_estimate,
     ee_trend,
     effective_capacity,
     energy_efficiency,
@@ -30,6 +31,7 @@ from eelink import (
     pdf,
     service_mgf,
     sweep,
+    tail_probability,
 )
 from eelink import analysis, errors, optimize
 from eelink.analysis import _with_slope
@@ -619,6 +621,51 @@ class TestNumpyScalars:
         for bad in (True, "0.5", np.array(0.5)):
             with pytest.raises(DomainError, match="gain must be a real number"):
                 pdf(params, bad)
+
+    @pytest.mark.parametrize("m", [2.0, 1.5])
+    def test_tail_at_a_float32_threshold(self, params, m):
+        # Kept as given, a float32 threshold gave np.float32(0.7357589).
+        link = dataclasses.replace(params, fading_m=m)
+        got = tail_probability(link, np.float32(0.5))
+        assert type(got) is float
+        assert got == tail_probability(link, float(np.float32(0.5)))
+        assert tail_probability(link, 1) == tail_probability(link, 1.0)
+
+    def test_outage_estimate_at_float32_inputs(self):
+        args = (np.float32(0.9), np.float32(100.0), np.float32(0.01))
+        got = delay_outage_estimate(*args)
+        assert type(got) is float
+        assert got == delay_outage_estimate(*(float(a) for a in args))
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, 1j])
+    def test_non_real_tail_or_estimate_input_rejected(self, params, bad):
+        with pytest.raises(DomainError, match="threshold must be a real number"):
+            tail_probability(params, bad)
+        for position, name in enumerate(("p_buffer_nonempty", "theta_seconds", "delay_bound")):
+            args = [0.5, 100.0, 0.01]
+            args[position] = bad
+            with pytest.raises(DomainError, match=f"{name} must be a real number"):
+                delay_outage_estimate(*args)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            # exp(+1) gave a probability of 1.359.
+            ((0.5, -100.0, 0.01), "theta_seconds must be nonnegative"),
+            ((0.5, -math.inf, 0.01), "theta_seconds must be nonnegative"),
+            ((0.5, math.nan, 0.01), "theta_seconds must be nonnegative"),
+            # exp(-0 * inf) gave NaN.
+            ((0.5, 0.0, math.inf), "delay_bound must be positive and finite"),
+        ],
+    )
+    def test_outage_estimate_out_of_range_rejected(self, args, match):
+        with pytest.raises(DomainError, match=match):
+            delay_outage_estimate(*args)
+
+    def test_outage_estimate_limits(self):
+        # theta_seconds = 0 is no decay, and an infinite exponent decays to 0.
+        assert delay_outage_estimate(0.5, 0.0, 0.01) == 0.5
+        assert delay_outage_estimate(0.5, math.inf, 0.01) == 0.0
 
 
 EELINK_ERRORS = tuple(

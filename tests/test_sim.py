@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eelink import (
     DomainError,
@@ -175,17 +177,24 @@ class TestRun:
         assert (cfg.arrival_rate, cfg.gamma0, cfg.delay_bound) == (1e5, 0, 0.5)
 
 
-def whole_array_run(config):
-    """The simulator as one pass over whole arrays: one gain draw, one
-    cumsum and one running minimum over every slot. Returns the report's
-    fields and the first slot past the stability guard (None if none)."""
+def whole_array_queue(config):
+    """The simulator's queue as one pass over whole arrays: one gain draw,
+    one cumsum and one running minimum over every slot. Returns each slot's
+    transmit flag and backlog in bits."""
     p = config.params
     gains = sample_gains(p, np.random.default_rng(config.seed), config.num_slots)
     snr = p.mean_snr
     transmit = gains >= config.gamma0
     service = np.where(transmit, p.slot_duration * p.bandwidth * np.log2(1.0 + snr * gains), 0.0)
     path = np.cumsum(config.arrival_rate * p.slot_duration - service)
-    queue = path - np.minimum(np.minimum.accumulate(path), 0.0)
+    return transmit, path - np.minimum(np.minimum.accumulate(path), 0.0)
+
+
+def whole_array_run(config):
+    """The report's fields from whole_array_queue, and the first slot past
+    the stability guard (None if none)."""
+    p = config.params
+    transmit, queue = whole_array_queue(config)
     over = queue > QUEUE_GUARD_BITS
     overflow_slot = int(np.argmax(over)) if over.any() else None
     warmup = config.resolved_warmup()
@@ -455,6 +464,40 @@ class TestDelayTail:
         # it failed the walk's comparison with a bare TypeError.
         with pytest.raises(DomainError, match="delay_bound must be a real number, got None"):
             delay_outage_curve(config(params, 8e5, 0.6, num_slots=1_000), [0.01, None])
+
+    @pytest.mark.parametrize("mu, gamma0", [(8e5, 0.6), (1519.7e3, 0.53), (3.5e4, 1.2)])
+    def test_bounds_at_observed_waits(self, params, mu, gamma0):
+        # The walk counts q >= cut, with cut the least float whose wait
+        # cut / arrival_rate passes the bound. At a bound equal to an
+        # observed wait q / arrival_rate, or a float either side of it,
+        # that slot's count turns on the last bit of the cut, so a cut one
+        # ulp off in either direction fails here.
+        cfg = config(params, mu, gamma0, num_slots=2 * C + 1)
+        _, queue = whole_array_queue(cfg)
+        waits = queue[cfg.resolved_warmup():] / cfg.arrival_rate
+        observed = np.unique(waits[waits > 0.0])
+        picks = [float(w) for w in observed[:: max(1, observed.size // 40)]]
+        bounds = sorted({b for w in picks for b in (math.nextafter(w, 0.0), w, math.nextafter(w, 1.0))})
+        assert delay_outage_curve(cfg, bounds) == [
+            (d, np.count_nonzero(waits > d) / waits.size) for d in bounds
+        ]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        arrival_rate=st.floats(min_value=5e-324, max_value=1.7e308, allow_infinity=False),
+        bound=st.floats(min_value=5e-324, max_value=1.7e308, allow_infinity=False),
+    )
+    @example(arrival_rate=1e300, bound=1e300)  # no finite backlog waits that long
+    @example(arrival_rate=1e-300, bound=1e-300)  # bound * arrival_rate underflows to 0
+    @example(arrival_rate=3.0, bound=0.1)
+    # A subnormal bound: the cut lies about 2^52 ulps past bound * arrival_rate.
+    @example(arrival_rate=1.7e308, bound=5e-324)
+    def test_outage_cut_is_the_least_passing_backlog(self, arrival_rate, bound):
+        # Correctly rounded division is nondecreasing in q, so q >= cut
+        # exactly when q / arrival_rate > bound, for every q.
+        cut = sim._outage_cut(bound, arrival_rate)
+        assert cut / arrival_rate > bound
+        assert not math.nextafter(cut, -math.inf) / arrival_rate > bound
 
     def test_waiting_time_scale(self, params):
         # One fluid-FIFO sanity point: outage at a bound beyond the largest

@@ -186,8 +186,7 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
     DomainError, as does one that is not a real number; a numpy scalar runs
     as a Python float.
     """
-    if type(threshold) is not float:
-        threshold = _real(threshold, "threshold")
+    threshold = _real(threshold, "threshold")
     if not 0.0 <= threshold < math.inf:  # NaN included
         raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
     if threshold == 0.0:
@@ -204,6 +203,12 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
     return min(1.0, math.exp(-z) * total)
 
 
+def draw_buffer_size(params: SystemParams, size: int) -> int:
+    """Length of the out vector sample_gains needs for size gains: size,
+    and at m = 2 twice as many again for the pair draws past the gains."""
+    return 3 * size if params.fading_m == 2.0 else size
+
+
 def sample_gains(
     params: SystemParams, rng: np.random.Generator, size: int, *, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -212,31 +217,22 @@ def sample_gains(
     At m = 2 the gain is Erlang: the sum of two unit exponentials (numpy's
     ziggurat) over 2, each gain taking two consecutive draws, so size gains
     drawn in blocks read the same stream as one draw of them all. Every
-    other m draws rng.gamma(m, 1/m) (Marsaglia-Tsang).
+    other m draws standard_gamma(m) (Marsaglia-Tsang) and scales by 1/m,
+    the bits of rng.gamma(m, 1/m).
 
-    out, when given, is a held contiguous float64 vector the draws land in,
-    so a caller drawing block after block allocates nothing per block. The
-    gains fill out[:size], which is returned; at m = 2 the pair draws fill
-    out[size:3 * size] first, so out needs 3 * size values there and size
-    elsewhere. The gains have the bits of a call without out: off m = 2 it
-    draws standard_gamma(m) into out and scales by 1/m, the product
-    rng.gamma(m, 1/m) forms. A size that is not a nonnegative integer, or
-    an out that cannot hold the draws, raises DomainError.
+    out, when given, is a held contiguous float64 vector of at least
+    draw_buffer_size(params, size) values that the draws land in, so a
+    caller drawing block after block allocates nothing per block. The gains
+    fill out[:size], which is returned, with the bits of a call without
+    out. A size that is not a nonnegative integer, or an out that cannot
+    hold the draws, raises DomainError.
     """
     import numpy as np
 
     if not (_is_integer(size) and size >= 0):
         raise DomainError(f"size must be a nonnegative integer, got {size!r}")
-    m = params.fading_m
-    if out is None:
-        if m != 2.0:
-            return rng.gamma(shape=m, scale=1.0 / m, size=size)
-        draws = rng.standard_exponential((size, 2))
-        # The add writes a new contiguous array, which vector operations
-        # read faster than a strided column of draws.
-        gains = draws[:, 0] + draws[:, 1]
-    else:
-        need = 3 * size if m == 2.0 else size
+    if out is not None:
+        need = draw_buffer_size(params, size)
         if not (
             isinstance(out, np.ndarray)
             and out.dtype == np.float64
@@ -248,12 +244,16 @@ def sample_gains(
             raise DomainError(
                 f"out must be a writable contiguous float64 vector of at least {need} values"
             )
-        gains = out[:size]
-        if m != 2.0:
-            rng.standard_gamma(m, out=gains)
-            gains *= 1.0 / m
-            return gains
-        draws = rng.standard_exponential(out=out[size : 3 * size].reshape(size, 2))
-        np.add(draws[:, 0], draws[:, 1], out=gains)
+    # The gains are contiguous, which vector operations read faster than a
+    # strided column of draws.
+    gains = np.empty(size) if out is None else out[:size]
+    m = params.fading_m
+    if m != 2.0:
+        rng.standard_gamma(m, out=gains)
+        gains *= 1.0 / m
+        return gains
+    pairs = np.empty((size, 2)) if out is None else out[size : 3 * size].reshape(size, 2)
+    rng.standard_exponential(out=pairs)
+    np.add(pairs[:, 0], pairs[:, 1], out=gains)
     gains *= 0.5
     return gains

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 
 from .analysis import METHOD_EXACT, QosSpec, effective_capacity
-from .channel import SystemParams, sample_gains
+from .channel import SystemParams, draw_buffer_size, sample_gains
 from .errors import DomainError, QueueOverflowError, _is_integer, _real, _require_finite
 
 QUEUE_GUARD_BITS = 1e12
@@ -153,11 +153,9 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     # Fluid FIFO: the newest bit waits q / arrival_rate seconds, which
     # passes bound d exactly when q reaches the cut.
     cuts = [_outage_cut(d, config.arrival_rate) for d in delay_bounds]
-    # The three held buffers of the module docstring. The draws' buffer has
-    # room past the gains for sample_gains' pair draws at m = 2; at any
-    # other m those pages are never written.
+    # The three held buffers of the module docstring.
     size = min(_BLOCK_SLOTS, config.num_slots)
-    draw_buf = np.empty(3 * size)
+    draw_buf = np.empty(draw_buffer_size(p, size))
     low_buf, flag_buf = np.empty(size), np.empty(size, dtype=bool)
     # Lindley recursion q[n] = max(q[n-1] + a - s[n], 0) with q[0] = 0 has
     # the closed form q[n] = S[n] - min(0, min_{k<=n} S[k]). Each block

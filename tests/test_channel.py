@@ -15,7 +15,7 @@ from eelink import (
     sample_gains,
     tail_probability,
 )
-from eelink.channel import _density
+from eelink.channel import _density, draw_buffer_size
 
 
 def closed_cdf_m2(g):
@@ -307,21 +307,27 @@ class TestSampler:
         assert got.flags.c_contiguous
 
     @pytest.mark.parametrize("m", [2.0, 0.5, 1.0, 1.5, 3.0, 4.0, 5.5, 171.0])
-    def test_out_has_the_bits_of_a_fresh_draw(self, params, m):
-        # Off m = 2 the gains are standard_gamma(m) draws times 1/m, the
-        # product rng.gamma(m, 1/m) forms; at m = 2 the pair draws land in
-        # out past the gains. The returned gains are out's first values.
+    def test_out_has_the_reference_bits(self, params, m):
+        # The gains land in out's first values, with the bits of the two
+        # references above: numpy's gamma draws off m = 2, and halved sums
+        # of consecutive unit exponentials at m = 2.
         link = dataclasses.replace(params, fading_m=m)
         out = np.full(3 * 10_001 + 5, np.nan)
         got = sample_gains(link, np.random.default_rng(9), 10_001, out=out)
         assert got.size == 10_001 and np.shares_memory(got, out[:10_001])
-        fresh = sample_gains(link, np.random.default_rng(9), 10_001)
-        assert got.tobytes() == fresh.tobytes()
+        ref = np.random.default_rng(9)
+        if m == 2.0:
+            draws = ref.standard_exponential((10_001, 2))
+            want = (draws[:, 0] + draws[:, 1]) * 0.5
+        else:
+            want = ref.gamma(m, 1.0 / m, 10_001)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [2.0, 1.5])
     def test_out_split_across_calls_reads_one_stream(self, params, m):
+        # out sized by draw_buffer_size for the larger call serves both.
         link = dataclasses.replace(params, fading_m=m)
-        rng, out = np.random.default_rng(3), np.empty(3 * 1000)
+        rng, out = np.random.default_rng(3), np.empty(draw_buffer_size(link, 600))
         head = sample_gains(link, rng, 600, out=out).copy()
         tail = sample_gains(link, rng, 400, out=out)
         whole = sample_gains(link, np.random.default_rng(3), 1000)

@@ -205,7 +205,8 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
 
 def draw_buffer_size(params: SystemParams, size: int) -> int:
     """Length of the out vector sample_gains needs for size gains: size,
-    and at m = 2 twice as many again for the pair draws past the gains."""
+    and at m = 2 twice as many again for the pairs of uniforms past the
+    gains."""
     return 3 * size if params.fading_m == 2.0 else size
 
 
@@ -214,11 +215,12 @@ def sample_gains(
 ) -> np.ndarray:
     """Vector of independent power-gain draws from the supplied generator.
 
-    At m = 2 the gain is Erlang: the sum of two unit exponentials (numpy's
-    ziggurat) over 2, each gain taking two consecutive draws, so size gains
-    drawn in blocks read the same stream as one draw of them all. Every
-    other m draws standard_gamma(m) (Marsaglia-Tsang) and scales by 1/m,
-    the bits of rng.gamma(m, 1/m).
+    At m = 2 the gain is Erlang: -ln(V1 * V2) / 2 for two independent
+    uniforms V = 1 - U on (0, 1], U from rng.random (Devroye 1986, ch.
+    IX.3), each gain taking two consecutive draws, so size gains drawn in
+    blocks read the same stream as one draw of them all. Every other m
+    draws standard_gamma(m) (Marsaglia-Tsang) and scales by 1/m, the bits
+    of rng.gamma(m, 1/m).
 
     out, when given, is a held contiguous float64 vector of at least
     draw_buffer_size(params, size) values that the draws land in, so a
@@ -253,7 +255,11 @@ def sample_gains(
         gains *= 1.0 / m
         return gains
     pairs = np.empty((size, 2)) if out is None else out[size : 3 * size].reshape(size, 2)
-    rng.standard_exponential(out=pairs)
-    np.add(pairs[:, 0], pairs[:, 1], out=gains)
-    gains *= 0.5
+    rng.random(out=pairs)
+    # U is a multiple of 2^-53 in [0, 1), so 1 - U is exact and never 0,
+    # which keeps the log finite.
+    np.subtract(1.0, pairs, out=pairs)
+    np.multiply(pairs[:, 0], pairs[:, 1], out=gains)
+    np.log(gains, out=gains)
+    gains *= -0.5
     return gains

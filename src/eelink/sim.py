@@ -7,17 +7,18 @@ walk) and walked in fixed blocks of slots, each a handful of vector
 operations that carry the walk and its running minimum into the next block.
 A run allocates three block-length buffers once and every block reuses
 them: the draws, whose first part takes the gains and then, in place, the
-step, its partial sums and the queue (at m = 2 the pair draws fill the
-rest); the running minimum, one fmin scan seeded with the carried one; and
-the slot flags, transmitting, then busy, then past each delay bound. The
-arithmetic is branch-free: an idle slot's gain is zeroed, so it serves
-log2(1) = 0 bits. So a run needs O(block) memory whatever its length, and
-is fully deterministic for a fixed seed.
+step, its partial sums and the queue (at m = 2 the two uniforms behind
+each gain fill the rest); the running minimum, one fmin scan seeded with
+the carried one; and the slot flags, transmitting, then busy, then past
+each delay bound. The arithmetic is branch-free: an idle slot's gain is
+zeroed, so it serves log2(1) = 0 bits. So a run needs O(block) memory
+whatever its length, and is fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass
 
@@ -140,7 +141,8 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     the post-warmup statistics, counting outages for every delay bound.
 
     Raises QueueOverflowError at the first slot whose backlog passes the
-    stability guard.
+    stability guard, and DomainError when the arrivals per slot, the
+    service or their running sum pass the float range.
     """
     import numpy as np
 
@@ -149,6 +151,11 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     snr = p.mean_snr
     rate_scale = p.slot_duration * p.bandwidth
     arrival = config.arrival_rate * p.slot_duration
+    if not math.isfinite(arrival):
+        raise DomainError(
+            f"the arrivals per slot, arrival_rate * slot_duration = "
+            f"{config.arrival_rate} * {p.slot_duration}, pass the float range"
+        )
     warmup = config.resolved_warmup()
     # Fluid FIFO: the newest bit waits q / arrival_rate seconds, which
     # passes bound d exactly when q reaches the cut.
@@ -166,50 +173,59 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     transmitted = busy = 0
     outages = [0] * len(delay_bounds)
     queue_sum = queue_max = 0.0
-    for start in range(0, config.num_slots, _BLOCK_SLOTS):
-        path = sample_gains(p, rng, min(_BLOCK_SLOTS, config.num_slots - start), out=draw_buf)
-        n = path.size
-        transmit = np.greater_equal(path, config.gamma0, out=flag_buf[:n])
-        skip = max(warmup - start, 0)
-        if skip < n:
-            transmitted += int(np.count_nonzero(transmit[skip:]))
-        # Step a - s[n], branch-free: an idle slot's gain is zeroed, so it
-        # serves log2(1) = 0 bits and its step is exactly a.
-        path *= transmit
-        path *= snr
-        path += 1.0
-        np.log2(path, out=path)
-        path *= rate_scale
-        np.subtract(arrival, path, out=path)
-        path[0] += path_end
-        np.cumsum(path, out=path)
-        path_end = float(path[-1])
-        # One scan seeded with the carried minimum: path[0] holds
-        # min(S[0], low) while it runs. fmin skips a NaN where minimum
-        # would spread it, but the partial sums are NaN from their first
-        # NaN on, so the queue is NaN from there either way.
-        head = path[0]
-        path[0] = min(head, low)
-        running_min = np.fmin.accumulate(path, out=low_buf[:n])
-        path[0] = head
-        low = float(running_min[-1])
-        block_queue = np.subtract(path, running_min, out=path)
-        top = float(block_queue.max())
-        if top > QUEUE_GUARD_BITS:
-            first = start + int(np.argmax(block_queue > QUEUE_GUARD_BITS))
-            raise QueueOverflowError(
-                f"queue exceeded {QUEUE_GUARD_BITS:.0e} bits at slot {first}; "
-                "arrival rate exceeds the gated capacity"
-            )
-        if skip >= n:
-            continue
-        q = block_queue[skip:]
-        flags = flag_buf[skip:n]
-        busy += int(np.count_nonzero(np.greater(q, 0.0, out=flags)))
-        for i, cut in enumerate(cuts):
-            outages[i] += int(np.count_nonzero(np.greater_equal(q, cut, out=flags)))
-        queue_sum += float(q.sum())
-        queue_max = max(queue_max, top if skip == 0 else float(q.max()))
+    # A step or partial sum past the float range stays non-finite in every
+    # later partial sum (no step is +inf or NaN), so the check on each
+    # block's path_end below catches it; numpy's warnings on the way add
+    # nothing to that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, config.num_slots, _BLOCK_SLOTS):
+            n = min(_BLOCK_SLOTS, config.num_slots - start)
+            path = sample_gains(p, rng, n, out=draw_buf)
+            transmit = np.greater_equal(path, config.gamma0, out=flag_buf[:n])
+            skip = max(warmup - start, 0)
+            if skip < n:
+                transmitted += int(np.count_nonzero(transmit[skip:]))
+            # Step a - s[n], branch-free: an idle slot's gain is zeroed, so it
+            # serves log2(1) = 0 bits and its step is exactly a.
+            path *= transmit
+            path *= snr
+            path += 1.0
+            np.log2(path, out=path)
+            path *= rate_scale
+            np.subtract(arrival, path, out=path)
+            path[0] += path_end
+            np.cumsum(path, out=path)
+            path_end = float(path[-1])
+            if not math.isfinite(path_end):
+                raise DomainError(
+                    f"the per-slot service or the queue's running sum passes the float "
+                    f"range by slot {start + n - 1}"
+                )
+            # One scan seeded with the carried minimum: path[0] holds
+            # min(S[0], low) while it runs. The partial sums are finite
+            # here, so fmin and minimum give the same bits.
+            head = path[0]
+            path[0] = min(head, low)
+            running_min = np.fmin.accumulate(path, out=low_buf[:n])
+            path[0] = head
+            low = float(running_min[-1])
+            block_queue = np.subtract(path, running_min, out=path)
+            top = float(block_queue.max())
+            if top > QUEUE_GUARD_BITS:
+                first = start + int(np.argmax(block_queue > QUEUE_GUARD_BITS))
+                raise QueueOverflowError(
+                    f"queue exceeded {QUEUE_GUARD_BITS:.0e} bits at slot {first}; "
+                    "arrival rate exceeds the gated capacity"
+                )
+            if skip >= n:
+                continue
+            q = block_queue[skip:]
+            flags = flag_buf[skip:n]
+            busy += int(np.count_nonzero(np.greater(q, 0.0, out=flags)))
+            for i, cut in enumerate(cuts):
+                outages[i] += int(np.count_nonzero(np.greater_equal(q, cut, out=flags)))
+            queue_sum += float(q.sum())
+            queue_max = max(queue_max, top if skip == 0 else float(q.max()))
     return _Tally(
         slots=config.num_slots - warmup,
         transmitted=transmitted,

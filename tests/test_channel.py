@@ -18,6 +18,23 @@ from eelink import (
 from eelink.channel import _density, draw_buffer_size
 
 
+def uniform_product_gains(seed, n):
+    # The m = 2 reference: -ln(V1 * V2) / 2 with V = 1 - U for consecutive
+    # uniforms U, an Erlang(2) draw of unit mean.
+    u = np.random.default_rng(seed).random((n, 2))
+    return -0.5 * np.log((1.0 - u[:, 0]) * (1.0 - u[:, 1]))
+
+
+class ConstantUniforms:
+    """A generator stub whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out.fill(self.u)
+
+
 def closed_cdf_m2(g):
     return 1.0 - math.exp(-2.0 * g) * (2.0 * g + 1.0)
 
@@ -274,10 +291,12 @@ class TestSampler:
         ks = max(upper.max(), lower.max())
         assert ks <= 0.002
 
-    @pytest.mark.parametrize("m", [0.5, 1.0, 3.0, 5.5])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0, 5.5])
     def test_dkw_band_on_the_gamma_route(self, params, m):
-        # The rng.gamma route against 1 - tail_probability; the sum route at
-        # m = 2 is test_kolmogorov_smirnov's. By the DKW inequality,
+        # The gamma law against 1 - tail_probability on both routes: the
+        # rng.gamma draws off m = 2, and the product of two uniforms at
+        # m = 2 (test_kolmogorov_smirnov also takes that route's distance
+        # over all its draws, at another seed). By the DKW inequality,
         # P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2): with n = 1e6 draws
         # and eps = 0.003 a correct sampler fails with probability below
         # 3.1e-8. The distance is taken at 1001 order statistics, each once
@@ -299,28 +318,36 @@ class TestSampler:
         assert np.array_equal(got, np.random.default_rng(9).gamma(m, 1.0 / m, 10_001))
 
     def test_exponential_sum_route(self, params):
-        # At m = 2 each gain sums two consecutive unit exponentials in order
-        # and halves them, into a contiguous array.
+        # At m = 2 each gain is the halved sum of two unit exponentials
+        # -ln V, taken as -ln(V1 * V2) / 2 with V = 1 - U for two
+        # consecutive uniforms U, into a contiguous array.
         got = sample_gains(params, np.random.default_rng(9), 10_001)
-        draws = np.random.default_rng(9).standard_exponential((10_001, 2))
-        assert np.array_equal(got, (draws[:, 0] + draws[:, 1]) * 0.5)
+        assert got.tobytes() == uniform_product_gains(9, 10_001).tobytes()
         assert got.flags.c_contiguous
+
+    def test_uniforms_at_the_ends_give_finite_gains(self, params):
+        # U = 0 gives V = 1 and a gain of 0. The largest U, 1 - 2^-53, gives
+        # V = 2^-53 exactly and the largest gain, 53 ln 2; a log of U * U
+        # in place of V * V would be 2^-53 there, and inf at U = 0.
+        low = sample_gains(params, ConstantUniforms(0.0), 4)
+        assert np.all(low == 0.0)
+        high = sample_gains(params, ConstantUniforms(1.0 - 2.0**-53), 4)
+        assert np.all(np.isfinite(high))
+        assert high == pytest.approx(np.full(4, 53.0 * math.log(2.0)), rel=1e-15)
 
     @pytest.mark.parametrize("m", [2.0, 0.5, 1.0, 1.5, 3.0, 4.0, 5.5, 171.0])
     def test_out_has_the_reference_bits(self, params, m):
         # The gains land in out's first values, with the bits of the two
-        # references above: numpy's gamma draws off m = 2, and halved sums
-        # of consecutive unit exponentials at m = 2.
+        # references above: numpy's gamma draws off m = 2, and the halved
+        # negative log of a product of two uniforms at m = 2.
         link = dataclasses.replace(params, fading_m=m)
         out = np.full(3 * 10_001 + 5, np.nan)
         got = sample_gains(link, np.random.default_rng(9), 10_001, out=out)
         assert got.size == 10_001 and np.shares_memory(got, out[:10_001])
-        ref = np.random.default_rng(9)
         if m == 2.0:
-            draws = ref.standard_exponential((10_001, 2))
-            want = (draws[:, 0] + draws[:, 1]) * 0.5
+            want = uniform_product_gains(9, 10_001)
         else:
-            want = ref.gamma(m, 1.0 / m, 10_001)
+            want = np.random.default_rng(9).gamma(m, 1.0 / m, 10_001)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [2.0, 1.5])

@@ -539,6 +539,12 @@ class TestKeysReachLibrary:
      "--tx-power", "1e-6", "--quantity", "F"],
     ["sweep", "--theta-list", "0.5", "--gamma0-range", "0.01:1", "--steps", "3",
      "--tx-power", "1e-6", "--quantity", "G"],
+    # the arrivals per slot, or the service per slot, pass the float range:
+    # the simulator printed a NaN mean queue with exit 0
+    ["simulate", "--slot-duration", "1e307", "--bandwidth", "1", "--path-loss", "1",
+     "--mu", "1e5", "--gamma0", "0.5", "--slots", "1000"],
+    ["simulate", "--slot-duration", "1e307", "--bandwidth", "1", "--path-loss", "1",
+     "--mu", "1e-300", "--gamma0", "0.5", "--slots", "1000"],
 ], ids=" ".join)
 def test_nonfinite_input_is_a_domain_error(argv, capsys):
     assert main(argv) == 2

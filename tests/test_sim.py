@@ -108,6 +108,29 @@ class TestRun:
         with pytest.raises(DomainError, match="mean power is 0 W"):
             run(config(link, 1e5, 400.0, num_slots=1000))
 
+    @pytest.mark.parametrize(
+        "mu, slot_duration, match",
+        [
+            # The arrivals per slot, 1e5 * 1e307, are inf.
+            (1e5, 1e307, "arrivals per slot"),
+            # Finite arrivals, but some slots' service is inf.
+            (1e-300, 1e307, "per-slot service"),
+            # Every slot's service is finite, their running sum is not.
+            (1e-300, 1e306, "per-slot service"),
+        ],
+    )
+    def test_walk_past_the_float_range_is_a_domain_error(self, params, mu, slot_duration, match):
+        # The queue was NaN from the first such slot on: run reported
+        # mean_queue NaN and max_queue 0, with numpy's RuntimeWarnings.
+        link = dataclasses.replace(
+            params, slot_duration=slot_duration, bandwidth=1.0, distance_km=None, path_loss=1.0
+        )
+        cfg = config(link, mu, 0.5, num_slots=1_000)
+        with pytest.raises(DomainError, match=match):
+            run(cfg)
+        with pytest.raises(DomainError, match=match):
+            delay_outage_curve(cfg, [0.01, 1.0])
+
     def test_config_validation(self, params):
         with pytest.raises(DomainError):
             config(params, -1.0, 0.5)
@@ -230,7 +253,7 @@ class TestBlocks:
     @pytest.mark.parametrize("num_slots", [1, C - 1, C, C + 1, 2 * C + 1])
     @pytest.mark.parametrize(
         "m, gamma0",
-        # Both sampler routes: sums of two exponentials at m = 2, each gain
+        # Both sampler routes: a product of two uniforms at m = 2, each gain
         # two draws wide, and rng.gamma at m = 0.5, 1, 3 and 5.5.
         [pytest.param(m, 0.6, id=str(m)) for m in (0.5, 1.0, 2.0, 3.0, 5.5)]
         # Every slot transmits; and no draw reaches the threshold, so every
@@ -424,10 +447,12 @@ class TestCurve:
 
 class TestDelayTail:
     def test_outage_decays_with_the_bound(self, params, qos_1e4):
-        # At 50 ms the outage is a rare event: over seeds 0-59, 54 paths of
-        # 200k slots count none there. Positive and strictly decreasing up
-        # to 20 ms held on all 60. One walk counts every bound, so a longer
-        # bound can never count more outages on any path.
+        # At 50 ms the outage is a rare event: over seeds 0-59, 53 paths of
+        # 200k slots count none there with gains from a product of two
+        # uniforms (51 and 54 under the two earlier samplers). Positive and
+        # strictly decreasing up to 20 ms held on all 60 under all three.
+        # One walk counts every bound, so a longer bound can never count
+        # more outages on any path.
         gamma0 = 0.5
         mu = 0.995 * effective_capacity(params, qos_1e4, gamma0)
         bounds = [0.002, 0.005, 0.01, 0.02, 0.05]

@@ -41,7 +41,10 @@ print("\nEE climbs with the threshold until the rate hits the capacity bound")
 base = SimConfig(params=params, arrival_rate=300e3, gamma0=0.0, num_slots=200_000, seed=4)
 for pt in ee_vs_threshold_curve(base, [0.0, 0.5, 1.0, 1.5, 1.73, 2.2], qos=qos):
     flag = "  (unstable: rate above capacity)" if pt.unstable else ""
-    print(f"  gamma0 {pt.gamma0:5.2f}: EE {pt.report.empirical_ee:10.1f} bits/J{flag}")
+    if pt.report is None:  # the queue passed the stability guard: no report
+        print(f"  gamma0 {pt.gamma0:5.2f}: queue overflow{flag}")
+    else:
+        print(f"  gamma0 {pt.gamma0:5.2f}: EE {pt.report.empirical_ee:10.1f} bits/J{flag}")
 
 print("\nDelay-outage tail near capacity (gamma0 = 0.5, 99.5% load)")
 mu = 0.995 * effective_capacity(params, qos, 0.5)

@@ -24,8 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .channel import SystemParams, _density, pdf, tail_probability
-from .errors import DomainError, _real, _require_finite
+from .channel import SystemParams, _density, _tail_by_gamma, pdf, tail_probability
+from .errors import DomainError, _nonnegative, _real, _require_finite
 from .special import (
     _lower_series_scaled,
     _upper_gamma_calibrated,
@@ -86,17 +86,6 @@ class AnalysisResult:
     log_mgf: float
 
 
-def _check_gamma0(gamma0: float) -> float:
-    # gamma0 as a Python float in [0, inf), or DomainError. Each public entry
-    # point takes its gamma0 through here, so a numpy float32 runs as the
-    # Python float of its value rather than pulling part of the arithmetic
-    # and the result down to float32.
-    gamma0 = _real(gamma0, "gamma0")
-    if not 0.0 <= gamma0 < math.inf:
-        raise DomainError(f"gamma0 must be nonnegative and finite, got {gamma0}")
-    return gamma0
-
-
 def _logaddexp(x: float, y: float) -> float:
     # log(e^x + e^y) by numpy.logaddexp's own formula, so it gives the same
     # bits without loading numpy.
@@ -126,7 +115,7 @@ def _log_closed_tail(params: SystemParams, v: float, z: float) -> float:
 
 
 def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: float) -> float:
-    # log E[exp(-theta s)] given p_idle from _modes. Large mean SNR replaces
+    # log E[exp(-theta s)] given p_idle = 1 - p_tr. Large mean SNR replaces
     # 1 + snr g by snr g on the transmit side, whose integral is then
     # (mean_snr / m)^a Gamma(m + a, m gamma0) / Gamma(m). The prefactor is
     # kept in log space: the mean SNR is of order 10^3 and direct powers lose
@@ -149,11 +138,14 @@ def _log_mgf(
 ) -> float:
     # log E[exp(-theta s)] by the given method, with p_tr from _modes. The
     # exact route tries the binomial series first and integrates the true
-    # kernel only where the series cannot vouch for its result.
+    # kernel only where the series cannot vouch for its result. Where no
+    # slot transmits, F is 1 and the integrand could only overflow.
     if method == METHOD_CLOSED:
         return _log_mgf_closed(params, theta, gamma0, 1.0 - p_tr)
     if method != METHOD_EXACT:
         raise DomainError(f"unknown method {method!r}; expected one of {_METHODS}")
+    if p_tr == 0.0:
+        return -0.0
     log_mgf = _log_mgf_series(params, params.exponent_rate * theta, gamma0, p_tr)
     if log_mgf is not None:
         return log_mgf
@@ -202,18 +194,16 @@ def _log_mgf_series(
     # The bound takes the error of each Gamma from the calibrated model, so
     # both must lie in its box: the first Gamma(w, z), and Gamma(m, z) where
     # p_tr is not channel.tail_probability's finite sum.
-    tail_by_gamma = m % 1.0 or z >= 700.0
+    tail_by_gamma = _tail_by_gamma(m, z)
     if not _upper_gamma_calibrated(w, z) or tail_by_gamma and not _upper_gamma_calibrated(m, z):
         return None
     log_z = math.log(z)
-    # The error terms that need no Gamma(w, z). p_tr's: channel.
-    # tail_probability's finite sum at an integer m, Gamma(m, z) / Gamma(m)
-    # otherwise. T's relative error from its prefactor (math.gamma is exact
-    # at integer m up to 23) and from the rounding of v = m + a, through
-    # d log T / dv.
+    # The error terms that need no Gamma(w, z): p_tr's, from the route that
+    # computed it, and T's relative error from its prefactor (math.gamma is
+    # exact at integer m up to 23) and from the rounding of v = m + a,
+    # through d log T / dv.
     if tail_by_gamma:
-        gamma_m = math.gamma(m)
-        p_err = p_tr * (_upper_gamma_rel_error(m, z, p_tr * gamma_m) + 2.0 * _EPS)
+        p_err = p_tr * (_upper_gamma_rel_error(m, z, p_tr * math.gamma(m)) + 2.0 * _EPS)
     else:
         p_err = p_tr * _EPS * (m + 1.0) / 2
     log_pre = a * params._log_snr_per_m
@@ -225,10 +215,9 @@ def _log_mgf_series(
     head = upper_incomplete_gamma(w, z)
     if head < sys.float_info.min:
         return None
-    try:
-        edge = math.exp((w - 1.0) * log_z - z)  # x^k z^(w - 1) e^-z
-    except OverflowError:
-        return None
+    # x^k z^(w - 1) e^-z. Within the calibrated box its exponent peaks at
+    # about 103.9 (w = 40, z near 39), far below exp's limit of 709.
+    edge = math.exp((w - 1.0) * log_z - z)
     edge_err = abs((w - 1.0) * log_z) + z + 1.0  # its relative error, in eps
     err = _upper_gamma_rel_error(w, z, head) * head  # bounds the error of h
     x = m / snr
@@ -349,9 +338,8 @@ def log_service_mgf(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Natural log of the per-slot service decay moment E[exp(-theta s)]."""
-    gamma0 = _check_gamma0(gamma0)
-    p_tr, _, _ = _modes(params, gamma0)
-    return _log_mgf(params, qos.theta, gamma0, p_tr, method)
+    gamma0 = _nonnegative(gamma0, "gamma0")
+    return _log_mgf(params, qos.theta, gamma0, tail_probability(params, gamma0), method)
 
 
 def service_mgf(
@@ -366,17 +354,14 @@ def effective_capacity(
 ) -> float:
     """Largest sustainable constant arrival rate in bits/s under the QoS
     exponent, for the service gated at the given threshold."""
-    return _point(params, qos.theta, _check_gamma0(gamma0), "alpha", method)
+    return _point(params, qos.theta, _nonnegative(gamma0, "gamma0"), "alpha", method)
 
 
-def _modes(params: SystemParams, gamma0: float) -> tuple[float, float, float]:
-    # (p_tr, p_idle, total power in W) at gamma0. The two mode probabilities
-    # sum to 1 exactly because the idle side is computed as the complement.
-    _check_gamma0(gamma0)
+def _modes(params: SystemParams, gamma0: float) -> tuple[float, float]:
+    # (p_tr, total power in W) at a gamma0 the caller has checked or made.
     p_tr = tail_probability(params, gamma0)
-    p_idle = 1.0 - p_tr
-    power = params.circuit_power + params.tx_power * p_tr + params.idle_power * p_idle
-    return p_tr, p_idle, power
+    power = params.circuit_power + params.tx_power * p_tr + params.idle_power * (1.0 - p_tr)
+    return p_tr, power
 
 
 def _require_power(gamma0: float, power: float) -> None:
@@ -413,11 +398,11 @@ def _formula(
 
 def _point(
     params: SystemParams, theta: float, gamma0: float, quantity: str, method: str,
-    modes: tuple[float, float, float] | None = None,
+    modes: tuple[float, float] | None = None,
 ) -> float:
     # One of QUANTITIES at a point, given its _modes where a sweep or search
     # shares them across theta. EE's nonzero total power is checked first.
-    p_tr, _, power = _modes(params, gamma0) if modes is None else modes
+    p_tr, power = _modes(params, gamma0) if modes is None else modes
     if quantity == "EE":
         _require_power(gamma0, power)
     log_mgf = _log_mgf(params, theta, gamma0, p_tr, method)
@@ -428,7 +413,7 @@ def energy_efficiency(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> float:
     """Effective capacity per consumed watt, bits/Joule."""
-    return _point(params, qos.theta, _check_gamma0(gamma0), "EE", method)
+    return _point(params, qos.theta, _nonnegative(gamma0, "gamma0"), "EE", method)
 
 
 def ee_trend(
@@ -441,7 +426,7 @@ def ee_trend(
     closed form, so the optimizer searches on it instead of differencing EE.
     Unlike EE it stays defined at a total power of 0 W.
     """
-    return _point(params, qos.theta, _check_gamma0(gamma0), "G", method)
+    return _point(params, qos.theta, _nonnegative(gamma0, "gamma0"), "G", method)
 
 
 def _with_slope(
@@ -453,7 +438,7 @@ def _with_slope(
     # (1 + snr gamma0)^a for the exact route. The slope is None where k_F
     # passes the float range (the closed form's, at gamma0 = 0 or snr gamma0
     # far below 1); a search halves there.
-    p_tr, _, power = _modes(params, gamma0)
+    p_tr, power = _modes(params, gamma0)
     log_mgf = _log_mgf(params, theta, gamma0, p_tr, method)
     value = _formula(params, theta, gamma0, log_mgf, power, quantity)
     density = pdf(params, gamma0)
@@ -509,8 +494,8 @@ def analyze(
     params: SystemParams, qos: QosSpec, gamma0: float, method: str = METHOD_CLOSED
 ) -> AnalysisResult:
     """Bundle every per-point quantity into one result."""
-    gamma0 = _check_gamma0(gamma0)
-    p_tr, p_idle, power = _modes(params, gamma0)
+    gamma0 = _nonnegative(gamma0, "gamma0")
+    p_tr, power = _modes(params, gamma0)
     _require_power(gamma0, power)
     log_mgf = _log_mgf(params, qos.theta, gamma0, p_tr, method)
     value = {q: _formula(params, qos.theta, gamma0, log_mgf, power, q) for q in QUANTITIES}
@@ -518,7 +503,7 @@ def analyze(
         gamma0=gamma0,
         effective_capacity=value["alpha"],
         p_tr=p_tr,
-        p_idle=p_idle,
+        p_idle=1.0 - p_tr,
         total_power=power,
         ee=value["EE"],
         service_mgf=value["F"],
@@ -530,7 +515,9 @@ def analyze(
 def mean_service_rate(params: SystemParams, gamma0: float) -> float:
     """E[s] / slot_duration in bits/s: the theta -> 0 limit of the effective
     capacity, by quadrature against the gain density."""
-    gamma0 = _check_gamma0(gamma0)
+    gamma0 = _nonnegative(gamma0, "gamma0")
+    if tail_probability(params, gamma0) == 0.0:
+        return 0.0
     import numpy as np
 
     snr = params.mean_snr

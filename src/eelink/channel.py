@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _is_integer, _real, _require_finite
+from .errors import DomainError, _is_integer, _nonnegative, _require_finite
 from .special import upper_incomplete_gamma
 
 if TYPE_CHECKING:
@@ -148,10 +148,7 @@ def pdf(params: SystemParams, gain: float) -> float:
     """Density of the unit-mean channel power gain at one real point,
     computed in `math` alone. A negative, non-finite or non-real gain (NaN
     and arrays included) raises DomainError."""
-    if not isinstance(gain, float):
-        gain = _real(gain, "gain")
-    if not 0.0 <= gain < math.inf:  # NaN included
-        raise DomainError(f"gain must be nonnegative and finite, got {gain}")
+    gain = _nonnegative(gain, "gain")
     m = params.fading_m
     # In log space, so m^m and g^(m - 1) cannot overflow. At g = 0 the power
     # term is -inf or +inf as m is above or below 1, giving density 0 or inf.
@@ -175,6 +172,12 @@ def _density(params: SystemParams, g: np.ndarray) -> np.ndarray:
     return np.exp(params._log_density_norm + power - m * g)
 
 
+def _tail_by_gamma(m: float, z: float) -> bool:
+    # Whether tail_probability takes Gamma(m, z) / Gamma(m), not the finite
+    # sum; the exact series reads it to take p_tr's error from p_tr's route.
+    return m % 1.0 != 0.0 or z >= 700.0
+
+
 def tail_probability(params: SystemParams, threshold: float) -> float:
     """P(gain >= threshold): the regularized upper incomplete gamma
     Q(m, m * threshold), never above 1.
@@ -182,18 +185,16 @@ def tail_probability(params: SystemParams, threshold: float) -> float:
     For an integer m and z = m * threshold below 700 it is the finite sum
     Q(m, z) = e^-z sum_{k<m} z^k / k! (DLMF 8.4), which needs no incomplete
     gamma call; otherwise Gamma(m, z) / Gamma(m), as e^-z nears the float
-    range's lower end past 700. A negative or non-finite threshold raises
-    DomainError, as does one that is not a real number; a numpy scalar runs
-    as a Python float.
+    range's lower end past 700, and 0.0 where z passes the float range. A
+    negative or non-finite threshold raises DomainError, as does one that is
+    not a real number; a numpy scalar runs as a Python float.
     """
-    threshold = _real(threshold, "threshold")
-    if not 0.0 <= threshold < math.inf:  # NaN included
-        raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
-    if threshold == 0.0:
-        return 1.0
+    threshold = _nonnegative(threshold, "threshold")
     m = params.fading_m
     z = m * threshold
-    if m % 1.0 or z >= 700.0:
+    if z == math.inf:
+        return 0.0
+    if _tail_by_gamma(m, z):
         return upper_incomplete_gamma(m, z) / math.gamma(m)
     # Horner form of the sum, highest term innermost. The rounding of e^-z
     # times a sum next to e^z can land just above 1.

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the finiteness check every
-input dataclass applies."""
+"""Exception types shared across the toolkit, the finiteness check every
+input dataclass applies, and the domain check of every threshold."""
 
 import math
 
@@ -76,6 +76,15 @@ def _real(value, name: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _nonnegative(value, name: str) -> float:
+    # value as a Python float in [0, inf), or DomainError. A numpy float32
+    # would otherwise pull the arithmetic down to float32.
+    number = _real(value, name)
+    if not 0.0 <= number < math.inf:  # NaN included
+        raise DomainError(f"{name} must be nonnegative and finite, got {number}")
+    return number
 
 
 def _is_integer(value) -> bool:

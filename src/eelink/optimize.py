@@ -41,6 +41,7 @@ from .errors import (
     InfeasibleRateError,
     PreconditionError,
     _is_integer,
+    _nonnegative,
     _real,
 )
 
@@ -237,13 +238,13 @@ def sweep(
     quantity is one of EE, alpha, G, F (energy efficiency, effective
     capacity, trend indicator, service decay moment). Every argument is
     checked before any point is evaluated: thetas nonempty and each a valid
-    QoS exponent, gamma0_range finite and increasing, steps an integer (not
-    a bool) of at least 2. thetas may be any iterable, a generator included;
-    it is read once. Each value is, bit for bit, what energy_efficiency,
-    effective_capacity, ee_trend or service_mgf returns at that point, and
-    the first point where that call raises raises the same error. The mode
-    probabilities and power at each gamma0 are computed once for all
-    thetas, and each point computes its service moment once.
+    QoS exponent, gamma0_range finite, nonnegative and increasing, steps an
+    integer (not a bool) of at least 2. thetas may be any iterable, a
+    generator included; it is read once. Each value is, bit for bit, what
+    energy_efficiency, effective_capacity, ee_trend or service_mgf returns
+    at that point, and the first point where that call raises raises the
+    same error. Each gamma0's mode probabilities and power are computed
+    once for all thetas, and each point computes its service moment once.
     """
     # QosSpec refuses a bad theta and holds a good one as a Python float.
     thetas = [] if thetas is None else [QosSpec(theta=theta).theta for theta in thetas]
@@ -259,6 +260,7 @@ def sweep(
     steps = int(steps)
     if steps < 2:
         raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
+    _nonnegative(lo, "gamma0")  # every grid point is at least lo
 
     # numpy.linspace's grid, point for point: i * step + lo, ending on hi.
     step = (hi - lo) / (steps - 1)

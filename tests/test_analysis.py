@@ -157,6 +157,34 @@ class TestModesAndPower:
         values = {analyze(flat, qos_1e4, g).total_power for g in (0.0, 0.5, 1.0, 3.0)}
         assert values == {flat.circuit_power + 2.0}
 
+    @pytest.mark.parametrize("gamma0", [1e306, 1e308])
+    @pytest.mark.parametrize("m", [2.0, 171.0])
+    def test_no_slot_transmits(self, params, qos_1e4, m, gamma0):
+        # p_tr rounds to 0, and m * 1e308 passes the float range. The exact
+        # quadrature's integrand overflowed there (a RuntimeWarning, which
+        # the suite's filter makes an error), and so did the mean rate's.
+        link = dataclasses.replace(params, fading_m=m)
+        r = analyze(link, qos_1e4, gamma0, METHOD_EXACT)
+        assert (r.p_tr, r.p_idle, r.effective_capacity, r.ee) == (0.0, 1.0, 0.0, 0.0)
+        assert r.log_mgf.hex() == (-0.0).hex()
+        assert mean_service_rate(link, gamma0) == 0.0
+
+    @pytest.mark.parametrize("m, gamma0", [(2.0, 400.0), (171.0, 10.0)])
+    def test_no_slot_transmits_runs_no_quadrature(self, params, qos_1e4, m, gamma0, monkeypatch):
+        # A finite z where the tail underflows: log F has the quadrature's
+        # bits, -0.0, and neither call integrates.
+        link = dataclasses.replace(params, fading_m=m)
+        assert tail_probability(link, gamma0) == 0.0
+        quadrature = analysis._log_mgf_quadrature(link, qos_1e4.theta, gamma0)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(analysis, "integrate", no_quadrature)
+        got = log_service_mgf(link, qos_1e4, gamma0, METHOD_EXACT)
+        assert got.hex() == quadrature.hex() == (-0.0).hex()
+        assert mean_service_rate(link, gamma0) == 0.0
+
 
 class TestEnergyEfficiency:
     def test_published_rows(self, params):

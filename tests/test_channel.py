@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,21 @@ class TestSystemParams:
         with pytest.raises(DomainError, match=message):
             dataclasses.replace(params, **{field: value})
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"slot_duration": 0.0}, "slot_duration must be positive"),
+        ({"slot_duration": -1e-3}, "slot_duration must be positive"),
+        ({"bandwidth": 0.0}, "bandwidth must be positive"),
+        ({"bandwidth": -180e3}, "bandwidth must be positive"),
+        ({"noise_density": 0.0}, "noise_density must be positive"),
+        ({"noise_density": -1e-20}, "noise_density must be positive"),
+        ({"idle_power": -1e-3}, "idle_power must be nonnegative"),
+        ({"path_loss": 0.5, "distance_km": None}, "path_loss must be at least 1"),
+        ({"path_loss": 0.0, "distance_km": None}, "path_loss must be at least 1"),
+    ])
+    def test_out_of_range_field_rejected(self, params, changes, message):
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(params, **changes)
+
     def test_zero_circuit_power_accepted(self, params):
         assert dataclasses.replace(params, circuit_power=0.0).circuit_power == 0.0
 
@@ -258,6 +274,12 @@ class TestTailProbability:
     def test_bad_threshold_is_a_domain_error(self, params, m, threshold):
         with pytest.raises(DomainError, match="threshold must be nonnegative and finite"):
             tail_probability(dataclasses.replace(params, fading_m=m), threshold)
+
+    @pytest.mark.parametrize("threshold", [1e308, sys.float_info.max])
+    @pytest.mark.parametrize("m", [2.0, 171.0])
+    def test_z_past_the_float_range_gives_zero(self, params, m, threshold):
+        # m * threshold is inf; the incomplete gamma refused it.
+        assert tail_probability(dataclasses.replace(params, fading_m=m), threshold) == 0.0
 
     def test_deep_tail_underflows_to_zero(self, params):
         # z = 800 at m = 2: the tail, about 1e-345, is below the float range.

@@ -161,6 +161,20 @@ class TestSweep:
         best = max(first_block, key=lambda r: float(r[2]))
         assert float(best[1]) == pytest.approx(0.5323, abs=0.011)
 
+    @pytest.mark.parametrize("thetas, gamma0_range, bad", [
+        ("1e-4", "0-3", "'0-3'"),
+        ("1e-4,abc", "0:3", "'abc'"),
+    ])
+    def test_unparsable_list_is_a_config_error(self, thetas, gamma0_range, bad, capsys):
+        argv = ["sweep", "--theta-list", thetas, "--gamma0-range", gamma0_range,
+                "--steps", "3", "--quantity", "EE"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: config: bad sweep range: could not convert string to float: {bad}\n"
+        )
+        assert captured.out == ""
+
     def test_two_step_grid(self, tmp_path):
         out = tmp_path / "tiny.csv"
         rc = main([
@@ -357,6 +371,18 @@ class TestConfigFile:
         target = tmp_path / "missing" / "result.csv"
         assert main(["optimize", "--theta", "1e-4", "--out", str(target)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("theta 1e-4\n", "{cfg}:1: expected key = value, got 'theta 1e-4'"),
+        ("distance = 1\npath_loss = 1e13\n", "supply only one of distance / path_loss"),
+    ])
+    def test_malformed_config_is_a_config_error(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["analyze", "--config", str(cfg), "--theta", "1e-4", "--gamma0", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: {message.format(cfg=cfg)}\n"
+        assert captured.out == ""
 
     def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
@@ -580,6 +606,18 @@ def test_exact_deep_idle_point_is_finite(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["service_mgf"] == pytest.approx(5.654e-21, rel=1e-3)
+
+
+@pytest.mark.parametrize("m", ["2", "171"])
+def test_exact_point_where_no_slot_transmits(m, capsys):
+    # p_tr rounds to 0. The quadrature's integrand overflowed there, a numpy
+    # RuntimeWarning that the suite's warning filter turns into an error.
+    argv = ["analyze", "--exact", "--theta", "1e-4", "--gamma0", "1e306", "--fading-m", m,
+            "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["p_tr"], payload["effective_capacity_bps"]) == (0.0, 0.0)
+    assert (payload["service_mgf"], payload["ee_bits_per_joule"]) == (1.0, 0.0)
 
 
 def log_uniform(lo, hi):

@@ -411,6 +411,15 @@ class TestCurve:
         assert points[1].unstable
         assert points[1].report is not None  # guard not tripped, run kept
 
+    def test_rows_stopped_by_the_guard_keep_their_flag(self, params, qos_1e4):
+        # As in TestRun::test_overflow_guard, the queue passes the stability
+        # guard at every threshold.
+        points = ee_vs_threshold_curve(
+            config(params, 1e13, 0.0, num_slots=500), [0.0, 0.5, 1.0], qos=qos_1e4
+        )
+        assert [pt.gamma0 for pt in points] == [0.0, 0.5, 1.0]
+        assert all(pt.report is None and pt.unstable for pt in points)
+
     def test_any_fading_m(self, params, qos_1e4):
         # The stability flag follows the exact capacity at m = 3 too: about
         # 899.6e3, 369.4e3 and 133.2e3 bit/s at the three thresholds.

@@ -5,14 +5,24 @@ threshold (otherwise idle), and update the queue with a constant-rate
 arrival. The queue recursion is solved in closed form (reflected random
 walk) and walked in fixed blocks of slots, each a handful of vector
 operations that carry the walk and its running minimum into the next block.
-A run allocates three block-length buffers once and every block reuses
-them: the draws, whose first part takes the gains and then, in place, the
-step, its partial sums and the queue (at m = 2 the two uniforms behind
-each gain fill the rest); the running minimum, one fmin scan seeded with
-the carried one; and the slot flags, transmitting, then busy, then past
-each delay bound. The arithmetic is branch-free: an idle slot's gain is
-zeroed, so it serves log2(1) = 0 bits. So a run needs O(block) memory
-whatever its length, and is fully deterministic for a fixed seed.
+
+The pass runs as two overlapping stages. A worker thread, started and
+joined by each run, owns the run's Generator: it alone draws, block after
+block in order, so the stream is read as one thread would read it. For
+each block it fills a buffer set with the gains, the transmit flags and
+then each slot's step a - s, and counts the post-warmup transmitting
+slots. Meanwhile the calling thread scans the block before in the other
+set: partial sums, the running minimum, the queue, the guard and the
+tallies. The two sets pass between the threads and are reused by every
+block. A set holds the draws, whose first part takes the gains and then,
+in place, the step, its partial sums and the queue (at m = 2 the two
+uniforms behind each gain fill the rest), and the slot flags:
+transmitting, then busy, then past each delay bound. The caller also holds
+the running minimum, one fmin scan seeded with the carried one. The
+arithmetic is branch-free: an idle slot's gain is zeroed, so it serves
+log2(1) = 0 bits. So a run needs O(block) memory whatever its length, and
+is fully deterministic for a fixed seed: no block's arithmetic depends on
+which thread runs it or when.
 """
 
 from __future__ import annotations
@@ -24,7 +34,14 @@ from dataclasses import dataclass
 
 from .analysis import METHOD_EXACT, QosSpec, effective_capacity
 from .channel import SystemParams, draw_buffer_size, sample_gains
-from .errors import DomainError, QueueOverflowError, _is_integer, _real, _require_finite
+from .errors import (
+    DomainError,
+    QueueOverflowError,
+    _is_integer,
+    _nonnegative,
+    _real,
+    _require_finite,
+)
 
 QUEUE_GUARD_BITS = 1e12
 # Slots per block of the simulator's pass: a run holds a few arrays of this
@@ -47,6 +64,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.params, SystemParams):
             raise DomainError(f"params must be a SystemParams, got {self.params!r}")
+        # Before the finiteness check, so gamma0 keeps the analytic calls'
+        # one message for its domain.
+        object.__setattr__(self, "gamma0", _nonnegative(self.gamma0, "gamma0"))
         _require_finite(self)
         for name in ("num_slots", "seed", "warmup_slots"):
             value = getattr(self, name)
@@ -56,8 +76,6 @@ class SimConfig:
             object.__setattr__(self, name, value if value is None else int(value))
         if self.arrival_rate <= 0.0:
             raise DomainError("arrival_rate must be positive")
-        if self.gamma0 < 0.0:
-            raise DomainError("gamma0 must be nonnegative")
         if self.num_slots < 1:
             raise DomainError("num_slots must be at least 1")
         if self.seed < 0:
@@ -142,12 +160,15 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
 
     Raises QueueOverflowError at the first slot whose backlog passes the
     stability guard, and DomainError when the arrivals per slot, the
-    service or their running sum pass the float range.
+    service or their running sum pass the float range. An error raised on
+    the drawing thread reaches the caller as it was raised.
     """
+    import queue
+    import threading
+
     import numpy as np
 
     p = config.params
-    rng = np.random.default_rng(config.seed)
     snr = p.mean_snr
     rate_scale = p.slot_duration * p.bandwidth
     arrival = config.arrival_rate * p.slot_duration
@@ -160,10 +181,50 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     # Fluid FIFO: the newest bit waits q / arrival_rate seconds, which
     # passes bound d exactly when q reaches the cut.
     cuts = [_outage_cut(d, config.arrival_rate) for d in delay_bounds]
-    # The three held buffers of the module docstring.
+    blocks = range(0, config.num_slots, _BLOCK_SLOTS)
+    # The buffers of the module docstring: two sets of draws and flags that
+    # pass between the threads through these queues, and the scan's minimum.
+    # Each kind is one allocation for both sets, which malloc keeps for the
+    # next run; as two, it gave them back after each run, and the next run
+    # faulted them in again (about 900 page faults at m = 2).
     size = min(_BLOCK_SLOTS, config.num_slots)
-    draw_buf = np.empty(draw_buffer_size(p, size))
-    low_buf, flag_buf = np.empty(size), np.empty(size, dtype=bool)
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    for buffers in zip(np.empty((2, draw_buffer_size(p, size))), np.empty((2, size), dtype=bool)):
+        free.put(buffers)
+    low_buf = np.empty(size)
+
+    def draw_steps() -> None:
+        # The worker: block by block, the step a - s[n] of every slot and the
+        # post-warmup count of transmitting slots, or the error that stopped
+        # it. None from free, the caller's stop, ends it between blocks.
+        try:
+            rng = np.random.default_rng(config.seed)
+            # numpy's error state is per thread.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in blocks:
+                    buffers = free.get()
+                    if buffers is None:
+                        return
+                    draw_buf, flag_buf = buffers
+                    n = min(_BLOCK_SLOTS, config.num_slots - start)
+                    path = sample_gains(p, rng, n, out=draw_buf)
+                    transmit = np.greater_equal(path, config.gamma0, out=flag_buf[:n])
+                    skip = max(warmup - start, 0)
+                    count = int(np.count_nonzero(transmit[skip:])) if skip < n else 0
+                    # Branch-free: an idle slot's gain is zeroed, so it serves
+                    # log2(1) = 0 bits and its step is exactly a.
+                    path *= transmit
+                    path *= snr
+                    path += 1.0
+                    np.log2(path, out=path)
+                    path *= rate_scale
+                    np.subtract(arrival, path, out=path)
+                    filled.put((buffers, count))
+        except BaseException as exc:
+            filled.put(exc)
+
+    worker = threading.Thread(target=draw_steps, name="eelink-sim-draws", daemon=True)
+    worker.start()
     # Lindley recursion q[n] = max(q[n-1] + a - s[n], 0) with q[0] = 0 has
     # the closed form q[n] = S[n] - min(0, min_{k<=n} S[k]). Each block
     # carries S and min(0, min S) over from the one before, so its partial
@@ -173,59 +234,57 @@ def _walk(config: SimConfig, delay_bounds: tuple[float, ...]) -> _Tally:
     transmitted = busy = 0
     outages = [0] * len(delay_bounds)
     queue_sum = queue_max = 0.0
-    # A step or partial sum past the float range stays non-finite in every
-    # later partial sum (no step is +inf or NaN), so the check on each
-    # block's path_end below catches it; numpy's warnings on the way add
-    # nothing to that error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, config.num_slots, _BLOCK_SLOTS):
-            n = min(_BLOCK_SLOTS, config.num_slots - start)
-            path = sample_gains(p, rng, n, out=draw_buf)
-            transmit = np.greater_equal(path, config.gamma0, out=flag_buf[:n])
-            skip = max(warmup - start, 0)
-            if skip < n:
-                transmitted += int(np.count_nonzero(transmit[skip:]))
-            # Step a - s[n], branch-free: an idle slot's gain is zeroed, so it
-            # serves log2(1) = 0 bits and its step is exactly a.
-            path *= transmit
-            path *= snr
-            path += 1.0
-            np.log2(path, out=path)
-            path *= rate_scale
-            np.subtract(arrival, path, out=path)
-            path[0] += path_end
-            np.cumsum(path, out=path)
-            path_end = float(path[-1])
-            if not math.isfinite(path_end):
-                raise DomainError(
-                    f"the per-slot service or the queue's running sum passes the float "
-                    f"range by slot {start + n - 1}"
-                )
-            # One scan seeded with the carried minimum: path[0] holds
-            # min(S[0], low) while it runs. The partial sums are finite
-            # here, so fmin and minimum give the same bits.
-            head = path[0]
-            path[0] = min(head, low)
-            running_min = np.fmin.accumulate(path, out=low_buf[:n])
-            path[0] = head
-            low = float(running_min[-1])
-            block_queue = np.subtract(path, running_min, out=path)
-            top = float(block_queue.max())
-            if top > QUEUE_GUARD_BITS:
-                first = start + int(np.argmax(block_queue > QUEUE_GUARD_BITS))
-                raise QueueOverflowError(
-                    f"queue exceeded {QUEUE_GUARD_BITS:.0e} bits at slot {first}; "
-                    "arrival rate exceeds the gated capacity"
-                )
-            if skip >= n:
-                continue
-            q = block_queue[skip:]
-            flags = flag_buf[skip:n]
-            busy += int(np.count_nonzero(np.greater(q, 0.0, out=flags)))
-            for i, cut in enumerate(cuts):
-                outages[i] += int(np.count_nonzero(np.greater_equal(q, cut, out=flags)))
-            queue_sum += float(q.sum())
-            queue_max = max(queue_max, top if skip == 0 else float(q.max()))
+    try:
+        # A step or partial sum past the float range stays non-finite in
+        # every later partial sum (no step is +inf or NaN), so the check on
+        # each block's path_end below catches it; numpy's warnings on the
+        # way add nothing to that error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in blocks:
+                item = filled.get()
+                if isinstance(item, BaseException):
+                    raise item
+                (draw_buf, flag_buf), count = item
+                transmitted += count
+                n = min(_BLOCK_SLOTS, config.num_slots - start)
+                path = draw_buf[:n]
+                path[0] += path_end
+                np.cumsum(path, out=path)
+                path_end = float(path[-1])
+                if not math.isfinite(path_end):
+                    raise DomainError(
+                        f"the per-slot service or the queue's running sum passes the "
+                        f"float range by slot {start + n - 1}"
+                    )
+                # One scan seeded with the carried minimum: path[0] holds
+                # min(S[0], low) while it runs. The partial sums are finite
+                # here, so fmin and minimum give the same bits.
+                head = path[0]
+                path[0] = min(head, low)
+                running_min = np.fmin.accumulate(path, out=low_buf[:n])
+                path[0] = head
+                low = float(running_min[-1])
+                block_queue = np.subtract(path, running_min, out=path)
+                top = float(block_queue.max())
+                if top > QUEUE_GUARD_BITS:
+                    first = start + int(np.argmax(block_queue > QUEUE_GUARD_BITS))
+                    raise QueueOverflowError(
+                        f"queue exceeded {QUEUE_GUARD_BITS:.0e} bits at slot {first}; "
+                        "arrival rate exceeds the gated capacity"
+                    )
+                skip = max(warmup - start, 0)
+                if skip < n:
+                    q = block_queue[skip:]
+                    flags = flag_buf[skip:n]
+                    busy += int(np.count_nonzero(np.greater(q, 0.0, out=flags)))
+                    for i, cut in enumerate(cuts):
+                        outages[i] += int(np.count_nonzero(np.greater_equal(q, cut, out=flags)))
+                    queue_sum += float(q.sum())
+                    queue_max = max(queue_max, top if skip == 0 else float(q.max()))
+                free.put((draw_buf, flag_buf))
+    finally:
+        free.put(None)
+        worker.join()
     return _Tally(
         slots=config.num_slots - warmup,
         transmitted=transmitted,

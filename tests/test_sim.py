@@ -1,5 +1,7 @@
+import _thread
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from eelink import (
     DomainError,
     QueueOverflowError,
     SimConfig,
+    SimReport,
     delay_outage_curve,
     ee_vs_threshold_curve,
     effective_capacity,
@@ -134,7 +137,7 @@ class TestRun:
     def test_config_validation(self, params):
         with pytest.raises(DomainError):
             config(params, -1.0, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"gamma0 must be nonnegative and finite, got -0\.5$"):
             config(params, 1e5, -0.5)
         with pytest.raises(DomainError):
             config(params, 1e5, 0.5, num_slots=0)
@@ -175,8 +178,10 @@ class TestRun:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["arrival_rate", "gamma0", "delay_bound"])
     def test_nonfinite_rejected(self, params, field, value):
+        # gamma0 has the analytic calls' message for the threshold's domain.
+        domain = "nonnegative and finite" if field == "gamma0" else "finite"
         kw = {"arrival_rate": 1e5, "gamma0": 0.5, "delay_bound": 0.01, field: value}
-        with pytest.raises(DomainError, match=f"{field} must be finite"):
+        with pytest.raises(DomainError, match=f"{field} must be {domain}"):
             SimConfig(params=params, num_slots=100, seed=1, **kw)
 
     @pytest.mark.parametrize("field, value", [
@@ -306,6 +311,165 @@ class TestBlocks:
                 tracemalloc.stop()
 
         assert peak(2_000_000) <= 1.5 * peak(200_000)
+
+
+# The parent's reports for three-block runs whose warmup ends inside the
+# second block, pinned bit for bit: seed 11, gamma0 0.6, delay bound 10 ms.
+GOLDEN_SLOTS, GOLDEN_WARMUP = 2 * C + 4321, C + 777
+
+
+def golden_config(params, m, mu, **kw):
+    link = dataclasses.replace(params, fading_m=m)
+    kw.setdefault("seed", 11)
+    return config(link, mu, 0.6, num_slots=GOLDEN_SLOTS, warmup_slots=GOLDEN_WARMUP, **kw)
+
+
+def golden_report(empirical_ee, p_tr_hat, p_b_hat, delay_outage_hat, mean_queue, max_queue,
+                  mean_power, seed):
+    return SimReport(
+        empirical_ee=empirical_ee, p_tr_hat=p_tr_hat, p_idle_hat=1.0 - p_tr_hat,
+        p_b_hat=p_b_hat, delay_outage_hat=delay_outage_hat, mean_queue=mean_queue,
+        max_queue=max_queue, mean_power=mean_power, slots_run=GOLDEN_SLOTS, seed=seed,
+    )
+
+
+class TestGoldenBits:
+    """Exact reports, independent of the whole-array oracle."""
+
+    @pytest.mark.parametrize("m, mu, expected", [
+        (0.5, 8e5, golden_report(
+            90366.76132102717, 0.4386797915460336, 0.7998841922408801, 0.06472206137811233,
+            2690.181406532878, 25444.668965872377, 8.852812564102045, 11)),
+        (2.0, 1.2e6, golden_report(
+            89721.02838942358, 0.6653155761436016, 0.6868992472495657, 0.0012449334105385061,
+            1610.4598539680928, 17822.019635427743, 13.374790966411364, 11)),
+        (5.5, 1.65e6, golden_report(
+            99099.84405226166, 0.8294585987261146, 0.6671250723798494, 0.0005500868558193399,
+            1853.5856084815946, 19642.122170006856, 16.649874838651108, 11)),
+    ])
+    def test_run(self, params, m, mu, expected):
+        report = run(golden_config(params, m, mu, delay_bound=0.01))
+        assert report == expected
+        assert report.p_idle_hat == expected.p_idle_hat
+
+    def test_delay_outage_curve(self, params):
+        cfg = golden_config(params, 2.0, 1.2e6, seed=12)
+        assert delay_outage_curve(cfg, [0.002, 0.01, 0.05]) == [
+            (0.002, 0.26295599305153444), (0.01, 0.004371742906774754), (0.05, 0.0),
+        ]
+
+    def test_ee_vs_threshold_curve(self, params, qos_1e4):
+        cfg = golden_config(params, 2.0, 1.2e6, seed=12)
+        rows = ee_vs_threshold_curve(cfg, [0.0, 0.5, 1.5, 3.0], qos_1e4)
+        expected = [
+            (0.0, False, golden_report(
+                59842.54484025563, 1.0, 0.0012159814707585407, None,
+                0.1380457547747276, 695.4044467508793, 20.0526231496888, 12)),
+            (0.5, False, golden_report(
+                81021.5658900295, 0.7372900984365952, 0.5324116965836712, None,
+                863.8539202073054, 16277.82813963294, 14.810871486102341, 12)),
+            (1.5, True, golden_report(
+                294170.9929039943, 0.1994354371742907, 1.0, None,
+                73893123.35759681, 99059740.53080581, 4.079260120632058, 12)),
+            (3.0, True, golden_report(
+                2635825.7859006342, 0.017805442964678633, 1.0, None,
+                116595987.68789695, 156457195.06254715, 0.45526529348751044, 12)),
+        ]
+        assert [(row.gamma0, row.unstable, row.report) for row in rows] == expected
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The thread of each sample_gains call the simulator makes from here on."""
+    seen = []
+    draw = sim.sample_gains
+
+    def recorded(*args, **kwargs):
+        seen.append(threading.current_thread())
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_gains", recorded)
+    return seen
+
+
+def assert_one_joined_worker(threads):
+    """Every draw was made on one thread other than the caller's, and that
+    thread has ended."""
+    (worker,) = set(threads)
+    assert worker is not threading.current_thread()
+    assert not worker.is_alive()
+
+
+class TestWorker:
+    """The drawing thread: one per pass, joined before the pass returns or
+    raises, and never more than a block ahead of the scan."""
+
+    def test_joined_after_a_run(self, params, draws):
+        run(config(params, 8e5, 0.6, num_slots=2 * C + 1))
+        assert len(draws) == 3
+        assert_one_joined_worker(draws)
+
+    def test_joined_after_an_overflow_in_a_later_block(self, params, draws):
+        cfg = config(params, 1.2e10, 0.5, num_slots=2 * C + 1)
+        _, overflow_slot = whole_array_run(cfg)
+        with pytest.raises(QueueOverflowError, match=f"at slot {overflow_slot};"):
+            run(cfg)
+        assert_one_joined_worker(draws)
+
+    def test_joined_after_a_float_range_error(self, params, draws):
+        link = dataclasses.replace(
+            params, slot_duration=1e307, bandwidth=1.0, distance_km=None, path_loss=1.0
+        )
+        with pytest.raises(DomainError, match="per-slot service"):
+            run(config(link, 1e-300, 0.5, num_slots=3 * C))
+        assert_one_joined_worker(draws)
+
+    def test_an_error_while_drawing_reaches_the_caller(self, params, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        calls = []
+        draw = sim.sample_gains
+
+        def second_fails(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise DrawError("the second block's draw failed")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "sample_gains", second_fails)
+        with pytest.raises(DrawError, match="^the second block's draw failed$"):
+            run(config(params, 8e5, 0.6, num_slots=40 * C))
+        assert len(calls) == 2
+        assert_one_joined_worker(calls)
+
+    def test_draws_stop_a_block_past_an_overflow(self, params, draws):
+        # The queue passes the guard in the second of 40 blocks, so the
+        # draws end with the third.
+        _, overflow_slot = whole_array_run(config(params, 1.2e10, 0.5, num_slots=2 * C))
+        assert C < overflow_slot < 2 * C
+        with pytest.raises(QueueOverflowError, match=f"at slot {overflow_slot};"):
+            run(config(params, 1.2e10, 0.5, num_slots=40 * C))
+        assert len(draws) <= 3
+        assert_one_joined_worker(draws)
+
+    def test_draws_stop_a_block_past_an_interrupt(self, params, monkeypatch):
+        # Ctrl-C while the worker draws the second block: the caller is then
+        # at most at that block.
+        calls = []
+        draw = sim.sample_gains
+
+        def interrupted(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                _thread.interrupt_main()
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "sample_gains", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(config(params, 8e5, 0.6, num_slots=40 * C))
+        assert len(calls) <= 3
+        assert_one_joined_worker(calls)
 
 
 class TestImprovement:

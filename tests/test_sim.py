@@ -378,18 +378,25 @@ class TestGoldenBits:
         assert [(row.gamma0, row.unstable, row.report) for row in rows] == expected
 
 
-@pytest.fixture
-def draws(monkeypatch):
-    """The thread of each sample_gains call the simulator makes from here on."""
+def record_draws(monkeypatch, before_second=None):
+    """The thread of each sample_gains call the simulator makes from here on;
+    before_second, if given, runs just before the second draw."""
     seen = []
     draw = sim.sample_gains
 
     def recorded(*args, **kwargs):
         seen.append(threading.current_thread())
+        if len(seen) == 2 and before_second is not None:
+            before_second()
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(sim, "sample_gains", recorded)
     return seen
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    return record_draws(monkeypatch)
 
 
 def assert_one_joined_worker(threads):
@@ -428,16 +435,10 @@ class TestWorker:
         class DrawError(Exception):
             pass
 
-        calls = []
-        draw = sim.sample_gains
+        def fail():
+            raise DrawError("the second block's draw failed")
 
-        def second_fails(*args, **kwargs):
-            calls.append(threading.current_thread())
-            if len(calls) == 2:
-                raise DrawError("the second block's draw failed")
-            return draw(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "sample_gains", second_fails)
+        calls = record_draws(monkeypatch, fail)
         with pytest.raises(DrawError, match="^the second block's draw failed$"):
             run(config(params, 8e5, 0.6, num_slots=40 * C))
         assert len(calls) == 2
@@ -456,16 +457,7 @@ class TestWorker:
     def test_draws_stop_a_block_past_an_interrupt(self, params, monkeypatch):
         # Ctrl-C while the worker draws the second block: the caller is then
         # at most at that block.
-        calls = []
-        draw = sim.sample_gains
-
-        def interrupted(*args, **kwargs):
-            calls.append(threading.current_thread())
-            if len(calls) == 2:
-                _thread.interrupt_main()
-            return draw(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "sample_gains", interrupted)
+        calls = record_draws(monkeypatch, _thread.interrupt_main)
         with pytest.raises(KeyboardInterrupt):
             run(config(params, 8e5, 0.6, num_slots=40 * C))
         assert len(calls) <= 3

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from .channel import SystemParams, _density, _tail_by_gamma, pdf, tail_probability
-from .errors import DomainError, _nonnegative, _real, _require_finite
+from .errors import DomainError, _nonnegative, _positive, _real
 from .special import (
     _lower_series_scaled,
     _upper_gamma_calibrated,
@@ -65,9 +65,7 @@ class QosSpec:
     theta: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.theta <= 0.0:
-            raise DomainError("theta must be positive")
+        object.__setattr__(self, "theta", _positive(self.theta, "theta"))
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,13 @@ def _log_mgf_closed(params: SystemParams, theta: float, gamma0: float, p_idle: f
         raise DomainError(
             f"{METHOD_CLOSED} at gamma0 = 0 needs theta < {-m / params.exponent_rate:.4e}"
         )
-    log_tail = a * params._log_snr_per_m + _log_closed_tail(params, m + a, m * gamma0)
+    try:
+        log_gamma = _log_closed_tail(params, m + a, m * gamma0)
+    except DomainError as exc:  # Gamma's refusal names only its own arguments
+        raise DomainError(
+            f"{METHOD_CLOSED} at theta = {theta:.6g}, gamma0 = {gamma0:.6g}: {exc}"
+        ) from None
+    log_tail = a * params._log_snr_per_m + log_gamma
     log_tail -= params._lgamma_m
     if p_idle == 0.0:
         return log_tail

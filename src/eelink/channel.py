@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _is_integer, _nonnegative, _require_finite
+from .errors import DomainError, _finite, _is_integer, _nonnegative, _positive
 from .special import upper_incomplete_gamma
 
 if TYPE_CHECKING:
@@ -22,19 +22,23 @@ LOG2_E = math.log2(math.e)
 
 def dbm_to_watt(x_dbm: float) -> float:
     """Convert dBm to watts."""
-    return 10.0 ** ((x_dbm - 30.0) / 10.0)
+    return db_to_linear(_finite(x_dbm, "x_dbm") - 30.0)
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to a linear power ratio."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert a dB value to a linear power ratio. A value that is not a
+    finite real number, or one whose ratio passes the float range, raises
+    DomainError."""
+    x_db = _finite(x_db, "x_db")
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{x_db} dB passes the float range as a linear ratio") from None
 
 
 def path_loss_db(distance_km: float) -> float:
     """Distance-based path loss in dB for a macro-cell link, distance in km."""
-    if distance_km <= 0.0:
-        raise DomainError(f"distance must be positive, got {distance_km} km")
-    return 128.1 + 37.6 * math.log10(distance_km)
+    return 128.1 + 37.6 * math.log10(_positive(distance_km, "distance_km"))
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,14 @@ class SystemParams:
     path_loss: float | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.slot_duration <= 0.0:
-            raise DomainError("slot_duration must be positive")
-        if self.bandwidth <= 0.0:
-            raise DomainError("bandwidth must be positive")
-        if self.noise_density <= 0.0:
-            raise DomainError("noise_density must be positive")
+        for name in ("slot_duration", "bandwidth", "noise_density", "tx_power"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for name in ("circuit_power", "idle_power", "fading_m"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        for name in ("distance_km", "path_loss"):  # None: not given
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _finite(value, name))
         if not 0.5 <= self.fading_m <= 171.0:
             raise DomainError(
                 "fading_m must lie in [0.5, 171]; above 171 Gamma(m) passes the float range"
@@ -80,16 +85,15 @@ class SystemParams:
             raise DomainError("circuit_power must be nonnegative")
         if self.idle_power < 0.0:
             raise DomainError("idle_power must be nonnegative")
-        if self.tx_power <= 0.0:
-            raise DomainError("tx_power must be positive")
         if self.tx_power < self.idle_power:
             raise DomainError("tx_power must not be below idle_power")
         if self.distance_km is None and self.path_loss is None:
             raise DomainError("supply exactly one of distance_km or path_loss")
         if self.distance_km is not None:
+            loss_db = path_loss_db(self.distance_km)
             try:
-                derived = db_to_linear(path_loss_db(self.distance_km))
-            except OverflowError:
+                derived = db_to_linear(loss_db)
+            except DomainError:
                 raise DomainError(
                     f"distance_km = {self.distance_km} puts the path loss past the float range"
                 ) from None

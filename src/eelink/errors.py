@@ -1,5 +1,9 @@
-"""Exception types shared across the toolkit, the finiteness check every
-input dataclass applies, and the domain check of every threshold."""
+"""Exception types shared across the toolkit, and the named domain rules
+every input passes: one rule per kind of input, each returning the value as
+a Python float (a numpy float32 would pull the arithmetic down to float32)
+or raising DomainError with the input's name. NaN fails every comparison
+and a string fails them with a bare TypeError, so a range check alone
+cannot refuse either; the rules can."""
 
 import math
 
@@ -32,30 +36,6 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
 
 
-def _require_finite(obj) -> None:
-    """Raise DomainError unless each float field of the dataclass obj holds
-    a finite real number that is not a bool, or None where its annotation
-    allows None, and store it as a Python float (a numpy float32 would pull
-    the arithmetic down to float32). NaN fails every comparison and a
-    string fails them with a bare TypeError, so range checks alone cannot
-    refuse either."""
-    # The class's field table: vars(obj) would give obj a real __dict__ and
-    # slow every later attribute read on it (the hot loops read params and
-    # qos), and dataclasses.fields allocates on every call. Every dataclass
-    # that calls this is defined under `from __future__ import annotations`,
-    # so the annotations are strings.
-    for name, field in obj.__dataclass_fields__.items():
-        if field.type != "float" and field.type != "float | None":
-            continue
-        value = getattr(obj, name)
-        if value is None and field.type == "float | None":
-            continue
-        number = _real(value, name)
-        if not math.isfinite(number):
-            raise DomainError(f"{name} must be finite, got {value}")
-        object.__setattr__(obj, name, number)
-
-
 def _real(value, name: str) -> float:
     # value as a Python float, an int past the float range as an infinity,
     # or DomainError unless it is a real number. bool is an int, but True is
@@ -78,9 +58,25 @@ def _real(value, name: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _finite(value, name: str) -> float:
+    # value as a finite Python float, or DomainError.
+    number = _real(value, name)
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return number
+
+
+def _positive(value, name: str) -> float:
+    # value as a Python float in (0, inf), or DomainError.
+    number = _finite(value, name)
+    if not number > 0.0:
+        raise DomainError(f"{name} must be positive, got {number}")
+    return number
+
+
 def _nonnegative(value, name: str) -> float:
-    # value as a Python float in [0, inf), or DomainError. A numpy float32
-    # would otherwise pull the arithmetic down to float32.
+    # value as a Python float in [0, inf), or DomainError: every threshold's
+    # rule, with one message for its whole domain, NaN and infinities included.
     number = _real(value, name)
     if not 0.0 <= number < math.inf:  # NaN included
         raise DomainError(f"{name} must be nonnegative and finite, got {number}")

@@ -176,7 +176,8 @@ def find_theta_threshold(params: SystemParams, theta_lo: float, theta_hi: float)
     has no closed-form slope in theta; it must be positive at theta_lo and
     not at theta_hi.
     """
-    if not 0.0 < theta_lo < theta_hi:
+    theta_lo, theta_hi = _real(theta_lo, "theta_lo"), _real(theta_hi, "theta_hi")
+    if not 0.0 < theta_lo < theta_hi:  # NaN included
         raise DomainError("need 0 < theta_lo < theta_hi")
     lo, hi = math.log(theta_lo), math.log(theta_hi)
     # Every theta tried lies between exp(lo) and exp(hi), so once QosSpec has
@@ -255,11 +256,9 @@ def sweep(
         raise DomainError(f"gamma0_range must be finite and increasing, got {gamma0_range}")
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; expected EE, alpha, G, or F")
-    if not _is_integer(steps):
+    if not (_is_integer(steps) and steps >= 2):
         raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
     steps = int(steps)
-    if steps < 2:
-        raise DomainError(f"steps must be an int of at least 2, got {steps!r}")
     _nonnegative(lo, "gamma0")  # every grid point is at least lo
 
     # numpy.linspace's grid, point for point: i * step + lo, ending on hi.

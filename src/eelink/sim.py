@@ -34,14 +34,7 @@ from dataclasses import dataclass
 
 from .analysis import METHOD_EXACT, QosSpec, effective_capacity
 from .channel import SystemParams, draw_buffer_size, sample_gains
-from .errors import (
-    DomainError,
-    QueueOverflowError,
-    _is_integer,
-    _nonnegative,
-    _real,
-    _require_finite,
-)
+from .errors import DomainError, QueueOverflowError, _is_integer, _nonnegative, _positive
 
 QUEUE_GUARD_BITS = 1e12
 # Slots per block of the simulator's pass: a run holds a few arrays of this
@@ -64,24 +57,20 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.params, SystemParams):
             raise DomainError(f"params must be a SystemParams, got {self.params!r}")
-        # Before the finiteness check, so gamma0 keeps the analytic calls'
-        # one message for its domain.
         object.__setattr__(self, "gamma0", _nonnegative(self.gamma0, "gamma0"))
-        _require_finite(self)
+        object.__setattr__(self, "arrival_rate", _positive(self.arrival_rate, "arrival_rate"))
+        if self.delay_bound is not None:  # None: no bound
+            object.__setattr__(self, "delay_bound", _positive(self.delay_bound, "delay_bound"))
         for name in ("num_slots", "seed", "warmup_slots"):
             value = getattr(self, name)
             if not _is_integer(value) and not (name == "warmup_slots" and value is None):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             # int(): a numpy int8 would overflow in _walk's arithmetic.
             object.__setattr__(self, name, value if value is None else int(value))
-        if self.arrival_rate <= 0.0:
-            raise DomainError("arrival_rate must be positive")
         if self.num_slots < 1:
             raise DomainError("num_slots must be at least 1")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
-        if self.delay_bound is not None and self.delay_bound <= 0.0:
-            raise DomainError("delay_bound must be positive when given")
         if self.warmup_slots is not None and not 0 <= self.warmup_slots < self.num_slots:
             raise DomainError("warmup_slots must lie in [0, num_slots)")
 
@@ -383,12 +372,9 @@ def delay_outage_curve(
     delay_bounds: list[float],
 ) -> list[tuple[float, float]]:
     """Measured delay-outage frequency for several delay bounds, all counted
-    on one sample path (config's own delay_bound is ignored, and SimConfig
-    checks each bound as it would a delay_bound). A bound of None, which
-    SimConfig takes as no bound, raises DomainError."""
-    bounds = tuple(
-        dataclasses.replace(config, delay_bound=_real(d, "delay_bound")).delay_bound
-        for d in delay_bounds
-    )
+    on one sample path (config's own delay_bound is ignored). Each bound
+    must be a positive, finite real number, as SimConfig's delay_bound is;
+    None, which SimConfig takes as no bound, raises DomainError here."""
+    bounds = tuple(_positive(d, "delay_bound") for d in delay_bounds)
     tally = _walk(config, bounds)
     return [(d, count / tally.slots) for d, count in zip(delay_bounds, tally.outages)]

@@ -31,13 +31,14 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _finite
 
 if TYPE_CHECKING:
     import numpy as np
 
 _EULER = 0.5772156649015329
 _EPS = sys.float_info.epsilon
+_FLOAT_MAX = sys.float_info.max
 _TERM_EPS = 1e-15          # series / continued-fraction termination
 _MAX_TERMS = 10_000
 _DE_LEVELS = 5             # step halvings held by the quadrature tables
@@ -100,15 +101,22 @@ def upper_incomplete_gamma(v: float, z: float) -> float:
 
     v may be negative or zero provided z > 0; at z = 0 the integral only
     converges for v > 0, where it equals the complete gamma function. A
-    non-finite v or z, or a negative z, raises DomainError, as does an
-    overflow in the downward recurrence.
+    non-finite v or z, a negative z, or either one not a real number raises
+    DomainError, as does an overflow in the downward recurrence.
     Against 40-digit mpmath the relative error is about 1e-12 or less. At an
     order a distance d below 0.01 from 0, -1, -2, ... it is about 1e-14 / d,
     because the recurrence divides by the order near 0; it peaks at about
     1e-6 at d = 1e-8, where E1 takes over.
     """
-    if not (0.0 <= z < math.inf and abs(v) < math.inf):  # NaN included
-        raise DomainError(f"need a finite order and a finite z >= 0, got v={v}, z={z}")
+    # Against the largest float, so an int past the float range fails too;
+    # None, a string or a complex number fails with a TypeError.
+    try:
+        if not (0.0 <= z <= _FLOAT_MAX and -_FLOAT_MAX <= v <= _FLOAT_MAX):  # NaN included
+            raise TypeError
+    except TypeError:
+        raise DomainError(
+            f"need a finite order and a finite z >= 0, got v={v!r}, z={z!r}"
+        ) from None
     if z == 0.0:
         if v <= 0.0:
             raise DomainError(f"Gamma({v}, 0) diverges; need v > 0 at z = 0")
@@ -227,14 +235,13 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float) -> float:
     lo + exp(pi/2 sinh t); the nearest sit about 2e-31 from lo, so they never
     touch an integrable singularity at lo = 0, but round onto lo anywhere
     else. The step in t halves until the sums at step h and step 2h differ
-    by at most max(1e-14, 1e-10 * |sum|). Raises DomainError for a
-    non-finite lo, and QuadratureError on a non-finite sum, or when the
-    tables' 5 halvings run out first.
+    by at most max(1e-14, 1e-10 * |sum|). Raises DomainError for an lo that
+    is not a finite real number, and QuadratureError on a non-finite sum,
+    or when the tables' 5 halvings run out first.
     """
     import numpy as np
 
-    if not math.isfinite(lo):
-        raise DomainError(f"lo must be finite, got {lo}")
+    lo = _finite(lo, "lo")
     total = 0.0
     for level, (exp_x, part, exp_w) in enumerate(_de_tables()):
         if exp_x is not None:

@@ -641,6 +641,17 @@ class TestFloatRange:
         with pytest.raises(DomainError, match="passes the float range"):
             ee_trend(params, QosSpec(theta=1.0), gamma0)
 
+    @pytest.mark.parametrize("theta, gamma0, point, cause", [
+        (1e-4, 1e308, "theta = 0.0001, gamma0 = 1e+308", "need a finite order"),
+        (1e-4, 400.0, "theta = 0.0001, gamma0 = 400", "underflows the float range"),
+        (1.0, 0.01, "theta = 1, gamma0 = 0.01", "passes the float range"),
+    ])
+    def test_closed_form_refusal_names_the_point(self, params, theta, gamma0, point, cause):
+        # Gamma's own refusal names only its arguments m + a and m gamma0.
+        with pytest.raises(DomainError, match=cause) as raised:
+            analyze(params, QosSpec(theta=theta), gamma0)
+        assert str(raised.value).startswith(f"{METHOD_CLOSED} at {point}: ")
+
 
 def mpmath_log_mgf(mpmath, link, theta, gamma0):
     """log F at 20 digits by quadrature in w = m (g - gamma0). Next to the

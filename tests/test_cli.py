@@ -57,6 +57,17 @@ class TestAnalyze:
         assert err.startswith("error:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("theta, gamma0, gamma", [
+        ("1e-4", "400", "Gamma(1.97403, 800) underflows the float range"),
+        ("1", "0.01", "Gamma(-257.68510736001343, 0.02) passes the float range"),
+    ])
+    def test_closed_form_refusal_names_the_point(self, theta, gamma0, gamma, capsys):
+        assert main(["analyze", "--theta", theta, "--gamma0", gamma0]) == 2
+        assert capsys.readouterr().err == (
+            f"error: domain: closed_form at theta = {float(theta):g}, "
+            f"gamma0 = {float(gamma0):g}: {gamma}\n"
+        )
+
     def test_missing_theta(self, capsys):
         assert main(["analyze", "--gamma0", "0.5"]) == 2
 
